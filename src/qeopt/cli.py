@@ -20,15 +20,9 @@ from qeopt import analysis as ana
 from qeopt import optimizer as opt
 from qeopt import runfiles
 from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
-from qeopt.compiler import (
-    decompose_controls,
-    dumps,
-    lower_phase_separator,
-    to_native,
-    verify_unitary,
-)
+from qeopt.compiler import compile_layer, dumps
 from qeopt.encoding import make_scheme
-from qeopt.estimator import cost_hamiltonian_terms, exact_group_stats
+from qeopt.estimator import exact_group_stats
 from qeopt.problem import example_instance_n4, generate_sk, ground_truth, pad_instance
 from qeopt.rng import stream
 from qeopt.simulator import init_plus
@@ -171,7 +165,7 @@ def generate(n, kind, count, seed, fixture_n4, out):
 @click.option("--out", type=str, default=None, help="Result CSV [default: results/solve.csv].")
 def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamma_bias,
           warm_start, allow_padding, out):
-    """Optimize the ansatz on one instance and append a result row.
+    """Optimize the ansatz on one instance and write a result row.
 
     CSV columns: instance, n_vars, d, p, mode, shots, seed, cost, c_star,
     c_star_method, ratio, eval_count, rounded_cost, rounded_ratio, params
@@ -201,6 +195,7 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         trace = run_ansatz(inst, scheme, list(result.best_params), mode=mode,
                            n_shots=shots, seed=seed)
         solution, rounded_cost = extract_solution(trace, scheme, seed=seed)
+        ratio = trace.final_cost / record.best_cost
         n_raw = scheme.n_vars_raw or scheme.n_vars
         solution = solution[:n_raw]
         params_text = ";".join(
@@ -208,8 +203,7 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         )
         row = [
             Path(instance_path).name, inst.n_vars, d, p, mode, shots or 0, seed,
-            trace.final_cost, record.best_cost, record.method,
-            trace.final_cost / record.best_cost,
+            trace.final_cost, record.best_cost, record.method, ratio,
             result.eval_count, rounded_cost, rounded_cost / record.best_cost,
             params_text, "".join("+" if v > 0 else "-" for v in solution),
         ]
@@ -219,7 +213,6 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
              "c_star_method", "ratio", "eval_count", "rounded_cost", "rounded_ratio",
              "params", "solution"],
             [row],
-            append=True,
         )
     except (ValueError, OSError) as exc:
         raise RuntimeFailure(str(exc))
@@ -227,7 +220,7 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
                     "hops": hops, "local_evals": local_evals,
                     "freeze_gamma_bias": freeze_gamma_bias, "warm_start": warm_start},
           seed, [instance_path], out_path)
-    click.echo(f"cost {trace.final_cost:.6f} (r = {result.ratio:.4f}) -> {out_path}")
+    click.echo(f"cost {trace.final_cost:.6f} (r = {ratio:.4f}) -> {out_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -505,30 +498,8 @@ def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
     try:
         inst = example_instance_n4() if (fixture_n4 or n == 4) else generate_sk(n, "pm1", seed=seed)
         scheme = make_scheme(n, d)
-        state = init_plus(scheme.n_qubits)
-        stats = exact_group_stats(scheme, state)
-        terms = cost_hamiltonian_terms(inst, scheme, stats)
-        circuit = decompose_controls(lower_phase_separator(terms, gamma), scheme)
-        for qubit in range(scheme.n_qubits):
-            if gamma_bias:
-                circuit.add("RZ", qubit, angle=-2.0 * gamma_bias)
-            circuit.add("RX", qubit, angle=-2.0 * beta)
-        native = to_native(circuit)
-
-        from qeopt.ansatz import apply_layer
-        from qeopt.estimator import build_cost_hamiltonian
-        from qeopt.simulator import Statevector
-
-        dim = scheme.dim
-        ham = build_cost_hamiltonian(inst, scheme, stats)
-        reference = np.empty((dim, dim), dtype=complex)
-        for col in range(dim):
-            basis = np.zeros(dim, dtype=complex)
-            basis[col] = 1.0
-            vec = Statevector(scheme.n_qubits, basis)
-            apply_layer(vec, ham, LayerParams(beta, gamma, gamma_bias))
-            reference[:, col] = vec.amps
-        deviation = verify_unitary(native, reference)
+        stats = exact_group_stats(scheme, init_plus(scheme.n_qubits))
+        native, deviation = compile_layer(inst, scheme, stats, LayerParams(beta, gamma, gamma_bias))
         out_path.write_text(dumps(native))
     except (ValueError, OSError) as exc:
         raise RuntimeFailure(str(exc))

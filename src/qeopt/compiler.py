@@ -1,11 +1,13 @@
 """Lowering of the phase separator to the {Rx(pi/2), Rz, iSWAP, X} gate set.
 
 The pipeline is: commuting Hamiltonian terms -> label-controlled phase
-rotations (logical IR) -> multi-controls reduced to Toffoli AND-ladders
-over ancillas plus singly-controlled Z-string rotations -> native gates.
-Correctness is certified numerically: the compiled circuit's unitary must
-match the ideal diagonal exponential up to a global phase, with ancillas
-returned to |0>.
+rotations (logical IR) -> per data-target set, a Walsh expansion of the
+label angles synthesized as a Gray-code walk of Rz rotations and CNOTs
+(Welch et al., New J. Phys. 16, 033040 (2014)) -> native gates. The
+synthesis needs no ancillas, no X-conjugation and no Toffolis, so a
+compiled layer runs on the q encoding qubits alone. Correctness is
+certified numerically: the compiled circuit, simulated on every basis
+column at once, must match the ideal unitary up to a global phase.
 """
 
 from __future__ import annotations
@@ -15,11 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qeopt.ansatz import LayerParams, apply_layer
 from qeopt.encoding import EncodingScheme
-from qeopt.estimator import HamiltonianTerm
+from qeopt.estimator import (
+    GroupStats,
+    HamiltonianTerm,
+    build_cost_hamiltonian,
+    cost_hamiltonian_terms,
+)
+from qeopt.problem import SKInstance
+from qeopt.simulator import Statevector
 
 NATIVE_GATES = ("RX", "RZ", "ISWAP", "X")
-INTERMEDIATE_GATES = NATIVE_GATES + ("CNOT", "TOFFOLI", "RZZ")
 
 # gate name -> (qubit count, takes angle)
 GATE_SIGNATURES = {
@@ -28,8 +37,6 @@ GATE_SIGNATURES = {
     "X": (1, False),
     "ISWAP": (2, False),
     "CNOT": (2, False),
-    "RZZ": (2, True),
-    "TOFFOLI": (3, False),
 }
 
 
@@ -55,25 +62,16 @@ class Gate:
 
 @dataclass
 class Circuit:
-    """Ordered gate list over n_qubits + n_ancillas wires.
-
-    Ancillas are appended after the encoding qubits and must start and end
-    in |0> (checked numerically by :func:`verify_unitary`).
-    """
+    """Ordered gate list over n_qubits wires."""
 
     n_qubits: int
-    n_ancillas: int = 0
     gates: list[Gate] = field(default_factory=list)
-
-    @property
-    def total_qubits(self) -> int:
-        return self.n_qubits + self.n_ancillas
 
     def add(self, name: str, *qubits: int, angle: float | None = None) -> "Circuit":
         gate = Gate(name, qubits, angle)
         for q in qubits:
-            if not 0 <= q < self.total_qubits:
-                raise IndexError(f"qubit {q} out of range [0, {self.total_qubits})")
+            if not 0 <= q < self.n_qubits:
+                raise IndexError(f"qubit {q} out of range [0, {self.n_qubits})")
         self.gates.append(gate)
         return self
 
@@ -90,7 +88,7 @@ class Circuit:
 
     def depth(self) -> int:
         """Greedy layering depth with qubit-disjoint parallelism."""
-        busy_until = [0] * self.total_qubits
+        busy_until = [0] * self.n_qubits
         depth = 0
         for g in self.gates:
             layer = 1 + max(busy_until[q] for q in g.qubits)
@@ -135,75 +133,60 @@ def lower_phase_separator(terms: list[HamiltonianTerm], gamma: float) -> list[IR
 
 
 # ---------------------------------------------------------------------------
-# Control decomposition
+# Walsh / Gray-code synthesis
 # ---------------------------------------------------------------------------
 
 
-def _z_string_rotation(circuit: Circuit, qubits: tuple[int, ...], alpha: float) -> None:
-    """exp(i alpha Z x ... x Z) via a CNOT parity chain and one Rz."""
-    chain = list(qubits)
-    last = chain[-1]
-    for a, b in zip(chain, chain[1:]):
-        circuit.add("CNOT", a, b)
-    circuit.add("RZ", last, angle=-2.0 * alpha)
-    for a, b in reversed(list(zip(chain, chain[1:]))):
-        circuit.add("CNOT", a, b)
-
-
-def _controlled_phase_core(circuit: Circuit, control: int, targets: tuple[int, ...], theta: float) -> None:
-    """exp(i theta P1_control Z...Z_targets), exact identity
-    P1 = (I - Z)/2  =>  split into a target-only and a control-extended string."""
-    _z_string_rotation(circuit, targets, theta / 2.0)
-    _z_string_rotation(circuit, (control, *targets), -theta / 2.0)
+def _walsh(theta: np.ndarray) -> np.ndarray:
+    """a_L = 2^-m sum_l (-1)^popcount(l & L) theta_l (fast butterfly)."""
+    a = np.asarray(theta, dtype=np.float64)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        a = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
+        h *= 2
+    return a / a.size
 
 
 def decompose_controls(
     ir: list[IRTerm],
     scheme: EncodingScheme,
 ) -> Circuit:
-    """Reduce label-controlled rotations to {CNOT, Toffoli, Rz, X}.
+    """Synthesize the label-controlled rotations over {CNOT, Rz}, no ancillas.
 
-    Patterns are matched by X-conjugating the label qubits that should read
-    0; m >= 2 controls are folded into ancillas with a Toffoli AND-ladder
-    (m - 1 ancillas), leaving a singly-controlled Z-string core. Ancillas
-    are uncomputed, so they start and end in |0>.
+    Angles of terms sharing a (label, data-target set D) pair are summed.
+    With P_l = 2^-m sum_L (-1)^popcount(l & L) Z_L (label qubit j holds bit
+    m-1-j), the rotations on D become prod_L exp(i a_L Z_L Z_D). A CNOT folds
+    the parity of D onto its last qubit; a cyclic Gray-code walk over the
+    label subsets then applies each Rz(-2 a_L) = exp(i a_L Z) once, with one
+    CNOT from the label qubit that flips per step, and a closing CNOT
+    unfolds D: 2^m + 2(|D| - 1) CNOTs per D (2(|D| - 1) when m = 0).
     """
     m = scheme.n_label_qubits
-    d = scheme.group_size
-    n_ancillas = max(0, m - 1)
-    circuit = Circuit(scheme.n_qubits, n_ancillas)
-    data_offset = m
-
+    n_labels = 1 << m
+    angles: dict[tuple[int, ...], np.ndarray] = {}
     for term in ir:
         if not 0 <= term.control_pattern < scheme.n_groups:
             raise ValueError(f"control pattern {term.control_pattern} exceeds label range")
-        targets = tuple(data_offset + t for t in term.targets)
-        if m == 0:
-            _z_string_rotation(circuit, targets, term.angle)
-            continue
+        angles.setdefault(term.targets, np.zeros(n_labels))[term.control_pattern] += term.angle
 
-        # conjugate pattern bits that read 0 (label qubit j holds bit m-1-j)
-        flips = [j for j in range(m) if not (term.control_pattern >> (m - 1 - j)) & 1]
-        for j in flips:
-            circuit.add("X", j)
-
-        if m == 1:
-            _controlled_phase_core(circuit, 0, targets, term.angle)
-        else:
-            ladder: list[tuple[int, int, int]] = []
-            anc = scheme.n_qubits
-            ladder.append((0, 1, anc))
-            for j in range(2, m):
-                ladder.append((j, anc, anc + 1))
-                anc += 1
-            for c1, c2, t in ladder:
-                circuit.add("TOFFOLI", c1, c2, t)
-            _controlled_phase_core(circuit, ladder[-1][2], targets, term.angle)
-            for c1, c2, t in reversed(ladder):
-                circuit.add("TOFFOLI", c1, c2, t)
-
-        for j in flips:
-            circuit.add("X", j)
+    circuit = Circuit(scheme.n_qubits)
+    for targets, theta in angles.items():
+        wires = [m + t for t in targets]
+        target = wires[-1]
+        for w in wires[:-1]:
+            circuit.add("CNOT", w, target)
+        coeffs = _walsh(theta)
+        for k in range(n_labels):
+            code = k ^ (k >> 1)
+            if coeffs[code] != 0.0:
+                circuit.add("RZ", target, angle=-2.0 * coeffs[code])
+            nxt = (k + 1) % n_labels
+            flip = code ^ nxt ^ (nxt >> 1)
+            if flip:
+                circuit.add("CNOT", m - flip.bit_length(), target)
+        for w in reversed(wires[:-1]):
+            circuit.add("CNOT", w, target)
     return circuit
 
 
@@ -236,15 +219,6 @@ def _native_rx(qubit: int, theta: float) -> list[Gate]:
     ]
 
 
-def _native_hadamard(qubit: int) -> list[Gate]:
-    """H = i Rz(pi/2) Rx(pi/2) Rz(pi/2); the phase joins the global one."""
-    return [
-        Gate("RZ", (qubit,), _HALF_PI),
-        Gate("RX", (qubit,), _HALF_PI),
-        Gate("RZ", (qubit,), _HALF_PI),
-    ]
-
-
 def _native_cnot(control: int, target: int) -> list[Gate]:
     """CNOT from two iSWAPs with one-qubit corrections (up to global phase).
 
@@ -264,145 +238,65 @@ def _native_cnot(control: int, target: int) -> list[Gate]:
     return seq
 
 
-def _cnot_level_toffoli(c1: int, c2: int, t: int) -> list[Gate]:
-    """Standard 6-CNOT Toffoli with T = Rz(pi/4) up to global phase."""
-    quarter = math.pi / 4
-    gates: list[Gate] = []
-    gates.extend(_native_hadamard_placeholder(t))
-    gates.append(Gate("CNOT", (c2, t)))
-    gates.append(Gate("RZ", (t,), -quarter))
-    gates.append(Gate("CNOT", (c1, t)))
-    gates.append(Gate("RZ", (t,), quarter))
-    gates.append(Gate("CNOT", (c2, t)))
-    gates.append(Gate("RZ", (t,), -quarter))
-    gates.append(Gate("CNOT", (c1, t)))
-    gates.append(Gate("RZ", (t,), quarter))
-    gates.append(Gate("RZ", (c2,), quarter))
-    gates.extend(_native_hadamard_placeholder(t))
-    gates.append(Gate("CNOT", (c1, c2)))
-    gates.append(Gate("RZ", (c1,), quarter))
-    gates.append(Gate("RZ", (c2,), -quarter))
-    gates.append(Gate("CNOT", (c1, c2)))
-    return gates
-
-
-def _native_hadamard_placeholder(qubit: int) -> list[Gate]:
-    # kept at the CNOT level so the Toffoli rewrite stays readable; the
-    # Hadamard itself is already native-expressible
-    return _native_hadamard(qubit)
-
-
 def to_native(circuit: Circuit) -> Circuit:
-    """Rewrite {CNOT, Toffoli, RZZ, Rx(any), Rz, X, iSWAP} into native gates."""
-    native = Circuit(circuit.n_qubits, circuit.n_ancillas)
+    """Rewrite {CNOT, Rx(any), Rz, X, iSWAP} into native gates."""
+    native = Circuit(circuit.n_qubits)
     for gate in circuit.gates:
-        native.extend(_rewrite_gate(gate))
+        if gate.name == "RX":
+            native.extend(_native_rx(gate.qubits[0], gate.angle))
+        elif gate.name == "CNOT":
+            native.extend(_native_cnot(*gate.qubits))
+        else:
+            native.extend([gate])
     return native
 
 
-def _rewrite_gate(gate: Gate) -> list[Gate]:
-    if gate.name in ("RZ", "ISWAP", "X"):
-        return [gate]
-    if gate.name == "RX":
-        return _native_rx(gate.qubits[0], gate.angle)
-    if gate.name == "CNOT":
-        return _native_cnot(*gate.qubits)
-    if gate.name == "RZZ":
-        c, t = gate.qubits
-        out = _native_cnot(c, t)
-        out.append(Gate("RZ", (t,), gate.angle))
-        out.extend(_native_cnot(c, t))
-        return out
-    if gate.name == "TOFFOLI":
-        out: list[Gate] = []
-        for g in _cnot_level_toffoli(*gate.qubits):
-            out.extend(_rewrite_gate(g))
-        return out
-    raise ValueError(f"unknown gate kind {gate.name!r}")
-
-
 # ---------------------------------------------------------------------------
-# Dense verification
+# Verification by simulation
 # ---------------------------------------------------------------------------
 
-_GATE_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "ISWAP": np.array(
-        [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-}
-
+# 2q simulated qubits at q = 12 hold 2^24 amplitudes: 256 MiB
 VERIFY_QUBIT_CAP = 12
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.name == "RX":
-        c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if gate.name == "RZ":
-        return np.array([[np.exp(-1j * gate.angle / 2), 0], [0, np.exp(1j * gate.angle / 2)]])
-    if gate.name == "RZZ":
-        e = np.exp(-1j * gate.angle / 2)
-        return np.diag([e, e.conjugate(), e.conjugate(), e])
-    if gate.name == "TOFFOLI":
-        u = np.eye(8, dtype=complex)
-        u[6:, 6:] = np.array([[0, 1], [1, 0]])
-        return u
-    return _GATE_MATRICES[gate.name]
+def _check_verifiable(n_qubits: int) -> None:
+    if n_qubits > VERIFY_QUBIT_CAP:
+        raise ValueError(f"verification capped at {VERIFY_QUBIT_CAP} qubits, got {n_qubits}")
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary over all wires (ancillas included), qubit 0 = MSB."""
-    n = circuit.total_qubits
-    if n > VERIFY_QUBIT_CAP:
-        raise ValueError(f"dense verification capped at {VERIFY_QUBIT_CAP} qubits, got {n}")
-    dim = 1 << n
-    u = np.eye(dim, dtype=complex)
-    for gate in circuit.gates:
-        u = _embed(gate, n) @ u
-    return u
+    """Dense unitary over the circuit's qubits (qubit 0 = MSB).
+
+    The native circuit runs on a 2q-qubit statevector holding the identity:
+    amplitude (row, col) sits at index row * 2^q + col, so the gates act on
+    the row index (qubits 0..q-1) of every column at once.
+    """
+    q = circuit.n_qubits
+    _check_verifiable(q)
+    dim = 1 << q
+    state = Statevector(2 * q)
+    state.amps[:: dim + 1] = 1.0
+    for gate in to_native(circuit).gates:
+        if gate.name == "RX":
+            state.apply_rx(gate.qubits[0], gate.angle)
+        elif gate.name == "RZ":
+            state.apply_rz(gate.qubits[0], gate.angle)
+        elif gate.name == "X":
+            state.apply_x(gate.qubits[0])
+        else:
+            state.apply_iswap(*gate.qubits)
+    return state.amps.reshape(dim, dim)
 
 
-def _embed(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Expand a gate matrix onto the full register via index arithmetic."""
-    g = gate_matrix(gate)
-    k = len(gate.qubits)
-    dim = 1 << n_qubits
-    full = np.zeros((dim, dim), dtype=complex)
-    # positions of the acted-on qubits inside the index (qubit 0 = MSB)
-    shifts = [n_qubits - 1 - q for q in gate.qubits]
-    rest_mask = (dim - 1) ^ sum(1 << s for s in shifts)
-    rest_indices = [i for i in range(dim) if i & ~rest_mask == 0]
-
-    def local_to_global(base: int, local: int) -> int:
-        out = base
-        for pos in range(k):
-            if (local >> (k - 1 - pos)) & 1:
-                out |= 1 << shifts[pos]
-        return out
-
-    for base in rest_indices:
-        idx = [local_to_global(base, loc) for loc in range(1 << k)]
-        full[np.ix_(idx, idx)] = g
-    return full
-
-
-def verify_unitary(
-    circuit: Circuit,
-    reference: np.ndarray,
-    check_ancillas: bool = True,
-) -> float:
+def verify_unitary(circuit: Circuit, reference: np.ndarray) -> float:
     """Max deviation from the reference after global-phase alignment.
 
     ``reference`` is either a dense 2**q x 2**q unitary or the 1-D complex
-    diagonal of a diagonal unitary, both over the q encoding qubits only.
-    Ancillas are projected on |0> at input and must disentangle back to |0>.
+    diagonal of a diagonal unitary.
     """
+    compiled = circuit_unitary(circuit)
     reference = np.asarray(reference, dtype=complex)
-    dim = 1 << circuit.n_qubits
+    dim = compiled.shape[0]
     if reference.ndim == 1:
         if reference.shape != (dim,):
             raise ValueError(f"diagonal reference needs {dim} entries")
@@ -410,25 +304,39 @@ def verify_unitary(
     elif reference.shape != (dim, dim):
         raise ValueError(f"reference must be {dim} x {dim}")
 
-    full = circuit_unitary(circuit)
-    a = circuit.n_ancillas
-    if a:
-        block = full.reshape(dim, 1 << a, dim, 1 << a)
-        embedded = block[:, :, :, 0]  # ancillas in |0>
-        leakage = embedded[:, 1:, :]
-        if check_ancillas and np.abs(leakage).max() > 1e-10:
-            raise ValueError(
-                f"ancillas do not return to |0>: leakage {np.abs(leakage).max():.3e}"
-            )
-        compiled = embedded[:, 0, :]
-    else:
-        compiled = full
-
-    overlap = np.trace(reference.conj().T @ compiled)
+    overlap = np.vdot(reference, compiled)
     if abs(overlap) < 1e-12:
         return float(np.abs(compiled - reference).max())
     phase = overlap / abs(overlap)
     return float(np.abs(compiled / phase - reference).max())
+
+
+def compile_layer(
+    instance: SKInstance,
+    scheme: EncodingScheme,
+    stats: GroupStats,
+    layer: LayerParams,
+) -> tuple[Circuit, float]:
+    """Compile one full layer (phase separator, bias Rz, mixer Rx) to native
+    gates and return it with its deviation from the ideal layer unitary."""
+    _check_verifiable(scheme.n_qubits)
+    terms = cost_hamiltonian_terms(instance, scheme, stats)
+    circuit = decompose_controls(lower_phase_separator(terms, layer.gamma), scheme)
+    for qubit in range(scheme.n_qubits):
+        if layer.gamma_bias:
+            circuit.add("RZ", qubit, angle=-2.0 * layer.gamma_bias)
+        circuit.add("RX", qubit, angle=-2.0 * layer.beta)
+    native = to_native(circuit)
+
+    ham = build_cost_hamiltonian(instance, scheme, stats)
+    reference = np.empty((scheme.dim, scheme.dim), dtype=complex)
+    for col in range(scheme.dim):
+        basis = np.zeros(scheme.dim, dtype=complex)
+        basis[col] = 1.0
+        state = Statevector(scheme.n_qubits, basis)
+        apply_layer(state, ham, layer)
+        reference[:, col] = state.amps
+    return native, verify_unitary(native, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +345,7 @@ def verify_unitary(
 
 
 def dumps(circuit: Circuit) -> str:
-    lines = [f"# circuit qubits={circuit.n_qubits} ancillas={circuit.n_ancillas}"]
+    lines = [f"# circuit qubits={circuit.n_qubits}"]
     for g in circuit.gates:
         parts = [str(q) for q in g.qubits]
         if g.angle is not None:
@@ -451,7 +359,7 @@ def loads(text: str) -> Circuit:
     if not lines or not lines[0].startswith("# circuit"):
         raise ValueError("missing circuit header line")
     header = dict(kv.split("=") for kv in lines[0].removeprefix("# circuit").split())
-    circuit = Circuit(int(header["qubits"]), int(header["ancillas"]))
+    circuit = Circuit(int(header["qubits"]))
     for ln in lines[1:]:
         name, _, rest = ln.partition(" ")
         if name not in GATE_SIGNATURES:

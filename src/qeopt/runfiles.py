@@ -104,16 +104,13 @@ def read_manifest(path: str | Path) -> RunManifest:
     return RunManifest(**data)
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list], append: bool = False) -> None:
-    """Write (or append to) a headered CSV; floats at 17 significant digits."""
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Write a headered CSV; floats at 17 significant digits."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    exists = path.exists() and path.stat().st_size > 0
-    mode = "a" if append and exists else "w"
-    with open(path, mode, newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if mode == "w":
-            writer.writerow(header)
+        writer.writerow(header)
         for row in rows:
             writer.writerow([_format_cell(v) for v in row])
 

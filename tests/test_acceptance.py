@@ -16,12 +16,11 @@ from qeopt.analysis import (
     entropy_profile,
     shot_noise_study,
 )
-from qeopt.ansatz import LayerParams, apply_layer, extract_solution, landscape, run_ansatz
-from qeopt.compiler import decompose_controls, lower_phase_separator, to_native, verify_unitary
+from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
+from qeopt.compiler import compile_layer
 from qeopt.encoding import make_scheme
 from qeopt.estimator import (
     build_cost_hamiltonian,
-    cost_hamiltonian_terms,
     estimate_cost,
     exact_group_stats,
 )
@@ -217,25 +216,9 @@ def test_criterion_07_compiler_correctness():
         inst = example_instance_n4() if n == 4 else generate_sk(n, "pm1", seed=n + d)
         scheme = make_scheme(n, d)
         stats = exact_group_stats(scheme, init_plus(scheme.n_qubits))
-        layer = LayerParams(0.77, 0.213, -0.41)
-        circuit = decompose_controls(
-            lower_phase_separator(cost_hamiltonian_terms(inst, scheme, stats), layer.gamma),
-            scheme,
-        )
-        for qubit in range(scheme.n_qubits):
-            circuit.add("RZ", qubit, angle=-2.0 * layer.gamma_bias)
-            circuit.add("RX", qubit, angle=-2.0 * layer.beta)
-        native = to_native(circuit)
-        ham = build_cost_hamiltonian(inst, scheme, stats)
-        reference = np.empty((scheme.dim, scheme.dim), dtype=complex)
-        for col in range(scheme.dim):
-            basis = np.zeros(scheme.dim, dtype=complex)
-            basis[col] = 1.0
-            vec = Statevector(scheme.n_qubits, basis)
-            apply_layer(vec, ham, layer)
-            reference[:, col] = vec.amps
-        # verify_unitary raises if ancillas leak more than 1e-10
-        worst = max(worst, verify_unitary(native, reference))
+        native, deviation = compile_layer(inst, scheme, stats, LayerParams(0.77, 0.213, -0.41))
+        assert native.is_native() and native.n_qubits == scheme.n_qubits
+        worst = max(worst, deviation)
     report(7, "compiled layers match ideal unitaries", worst < 1e-9,
            f"worst deviation {worst:.3e} over 4 layouts, {time.time() - t0:.1f}s")
 

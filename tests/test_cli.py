@@ -144,6 +144,30 @@ class TestSolve:
         assert result.exit_code == 3
         assert "power of two" in result.output
 
+    def test_rerun_reproduces_byte_for_byte(self, runner, fixture_file, tmp_path):
+        out = tmp_path / "res.csv"
+        args = ["solve", "--instance", str(fixture_file), "--d", "2", "--p", "1",
+                "--hops", "1", "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        first = out.read_bytes()
+        result = runner.invoke(main, ["rerun", "--manifest", str(out) + ".manifest.json"])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == first
+        assert len(read_rows(out)) == 1
+
+    def test_shot_mode_summary_ratio_matches_csv(self, runner, fixture_file, tmp_path):
+        out = tmp_path / "res.csv"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(fixture_file), "--d", "2", "--p", "1", "--mode", "shots",
+            "--shots", "200", "--hops", "1", "--local-evals", "40", "--seed", "3",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        (row,) = read_rows(out)
+        printed = float(result.output.split("(r = ")[1].split(")")[0])
+        assert printed == round(float(row["ratio"]), 4)
+        assert float(result.output.split()[1]) == pytest.approx(float(row["cost"]), abs=1e-6)
+
     def test_manifest_written(self, runner, fixture_file, tmp_path):
         out = tmp_path / "res.csv"
         result = runner.invoke(main, [
@@ -253,6 +277,14 @@ class TestCompileCheckCmd:
 
         circuit = loads(out.read_text())
         assert circuit.is_native()
+
+    def test_register_over_the_verification_cap_exits_3(self, runner, tmp_path):
+        # N=24, d=12: q = 13 > VERIFY_QUBIT_CAP, refused before the reference is built
+        result = runner.invoke(main, [
+            "compile-check", "--n", "24", "--d", "12", "--out", str(tmp_path / "c.txt"),
+        ])
+        assert result.exit_code == 3
+        assert "capped" in result.output
 
 
 class TestTransferCmd:

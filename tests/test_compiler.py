@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,12 +7,11 @@ import pytest
 from qeopt.ansatz import LayerParams, apply_layer
 from qeopt.compiler import (
     Circuit,
-    Gate,
     IRTerm,
     circuit_unitary,
+    compile_layer,
     decompose_controls,
     dumps,
-    gate_matrix,
     loads,
     lower_phase_separator,
     to_native,
@@ -40,6 +40,43 @@ def ideal_controlled_phase(n_qubits, scheme, term):
             s *= 1 - 2 * ((k >> (d - 1 - dq)) & 1)
         diag[k] = term.angle * s
     return np.exp(1j * diag)
+
+
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def rx_matrix(theta):
+    return math.cos(theta / 2) * _I2 - 1j * math.sin(theta / 2) * _X
+
+
+def on_qubits(n_qubits, ops):
+    """Oracle: Kronecker product with ops[k] on qubit k (qubit 0 leftmost)."""
+    return reduce(np.kron, [ops.get(k, _I2) for k in range(n_qubits)])
+
+
+def kron_unitary(circuit):
+    """Oracle: dense product of Kronecker-embedded native gates."""
+    n = circuit.n_qubits
+    u = on_qubits(n, {})
+    for g in circuit.gates:
+        if g.name == "ISWAP":
+            # iSWAP = (II + ZZ)/2 + i (XX + YY)/2, symmetric in its qubits
+            a, b = g.qubits
+            gate = (on_qubits(n, {}) + on_qubits(n, {a: _Z, b: _Z})) / 2 + 0.5j * (
+                on_qubits(n, {a: _X, b: _X}) + on_qubits(n, {a: _Y, b: _Y})
+            )
+        elif g.name == "RX":
+            gate = on_qubits(n, {g.qubits[0]: rx_matrix(g.angle)})
+        elif g.name == "RZ":
+            phase = np.exp(-0.5j * g.angle)
+            gate = on_qubits(n, {g.qubits[0]: np.diag([phase, phase.conjugate()])})
+        else:
+            gate = on_qubits(n, {g.qubits[0]: _X})
+        u = gate @ u
+    return u
 
 
 def layer_unitary(instance, scheme, stats, layer):
@@ -84,7 +121,7 @@ class TestDecomposeControls:
         scheme = make_scheme(4, 4)
         ir = [IRTerm(0, (1, 3), 0.5), IRTerm(0, (2,), -0.25)]
         circuit = decompose_controls(ir, scheme)
-        assert circuit.n_ancillas == 0
+        assert circuit.n_qubits == scheme.n_qubits
         diag = np.zeros(16)
         for k in range(16):
             s13 = (1 - 2 * ((k >> 2) & 1)) * (1 - 2 * (k & 1))
@@ -96,7 +133,7 @@ class TestDecomposeControls:
     def test_m1_against_matrix_oracle(self, pattern, n4_scheme):
         term = IRTerm(pattern, (0, 1), 0.8321)
         circuit = decompose_controls([term], n4_scheme)
-        assert circuit.n_ancillas == 0
+        assert circuit.n_qubits == n4_scheme.n_qubits
         ref = ideal_controlled_phase(3, n4_scheme, term)
         assert verify_unitary(circuit, ref) < 1e-12
 
@@ -105,7 +142,7 @@ class TestDecomposeControls:
         scheme = make_scheme(8, 2)  # m=2, q=4
         term = IRTerm(pattern, (0, 1), -0.456)
         circuit = decompose_controls([term], scheme)
-        assert circuit.n_ancillas == 1
+        assert circuit.n_qubits == scheme.n_qubits
         ref = ideal_controlled_phase(4, scheme, term)
         assert verify_unitary(circuit, ref) < 1e-12
 
@@ -113,7 +150,7 @@ class TestDecomposeControls:
         scheme = make_scheme(16, 2)  # m=3, q=5
         term = IRTerm(5, (0,), 0.321)
         circuit = decompose_controls([term], scheme)
-        assert circuit.n_ancillas == 2
+        assert circuit.n_qubits == scheme.n_qubits
         ref = ideal_controlled_phase(5, scheme, term)
         assert verify_unitary(circuit, ref) < 1e-12
 
@@ -147,33 +184,41 @@ class TestToNative:
         circuit.add("RX", 0, angle=theta)
         native = to_native(circuit)
         assert native.is_native()
-        assert verify_unitary(native, gate_matrix(Gate("RX", (0,), theta))) < 1e-12
-
-    def test_rzz(self):
-        circuit = Circuit(2)
-        circuit.add("RZZ", 0, 1, angle=0.731)
-        e = np.exp(-1j * 0.731 / 2)
-        assert verify_unitary(to_native(circuit), np.array([e, e.conj(), e.conj(), e])) < 1e-9
-
-    def test_toffoli(self):
-        circuit = Circuit(3)
-        circuit.add("TOFFOLI", 0, 1, 2)
-        ref = np.eye(8, dtype=complex)
-        ref[6:, 6:] = [[0, 1], [1, 0]]
-        assert verify_unitary(to_native(circuit), ref) < 1e-9
+        assert verify_unitary(native, rx_matrix(theta)) < 1e-12
 
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError):
             Circuit(1).add("HADAMARD", 0)
 
-    def test_iswap_count_linear_in_term_count(self, n4_scheme):
-        def count(k):
-            ir = [IRTerm(0, (0, 1), 0.1 * (j + 1)) for j in range(k)]
-            return to_native(decompose_controls(ir, n4_scheme)).gate_counts()["ISWAP"]
+    @pytest.mark.parametrize("n,d", [(8, 2), (16, 2), (16, 4)])
+    def test_iswap_count_bounded_per_target_set(self, n, d):
+        # at most 2^m + 2(|D| - 1) CNOTs, two iSWAPs each, per data-target set D
+        scheme = make_scheme(n, d)
+        rng = np.random.default_rng(n + d)
+        target_sets = [(a, b) for a in range(d) for b in range(a + 1, d)] + [(a,) for a in range(d)]
+        ir = [
+            IRTerm(int(rng.integers(scheme.n_groups)),
+                   target_sets[rng.integers(len(target_sets))], float(rng.normal()))
+            for _ in range(3 * scheme.n_groups)
+        ]
+        native = to_native(decompose_controls(ir, scheme))
+        bound = 2 * sum((1 << scheme.n_label_qubits) + 2 * (len(ts) - 1)
+                        for ts in {t.targets for t in ir})
+        assert native.gate_counts()["ISWAP"] <= bound
+        ref = np.prod([ideal_controlled_phase(scheme.n_qubits, scheme, t) for t in ir], axis=0)
+        assert verify_unitary(native, ref) < 1e-12
 
-        one = count(1)
-        assert count(2) == 2 * one
-        assert count(5) == 5 * one
+    def test_terms_sharing_label_and_targets_cost_one_term(self, n4_scheme):
+        def compile_k(k):
+            ir = [IRTerm(0, (0, 1), 0.1 * (j + 1)) for j in range(k)]
+            return to_native(decompose_controls(ir, n4_scheme))
+
+        one = compile_k(1).gate_counts()
+        assert compile_k(2).gate_counts() == one
+        five = compile_k(5)
+        assert five.gate_counts() == one
+        ref = ideal_controlled_phase(3, n4_scheme, IRTerm(0, (0, 1), 1.5))
+        assert verify_unitary(five, ref) < 1e-12
 
 
 class TestFullLayer:
@@ -183,15 +228,10 @@ class TestFullLayer:
         scheme = make_scheme(n, d)
         stats = exact_group_stats(scheme, init_plus(scheme.n_qubits))
         layer = LayerParams(0.77, 0.213, -0.41)
-        circuit = decompose_controls(
-            lower_phase_separator(cost_hamiltonian_terms(inst, scheme, stats), layer.gamma),
-            scheme,
-        )
-        for qubit in range(scheme.n_qubits):
-            circuit.add("RZ", qubit, angle=-2.0 * layer.gamma_bias)
-            circuit.add("RX", qubit, angle=-2.0 * layer.beta)
-        native = to_native(circuit)
+        native, deviation = compile_layer(inst, scheme, stats, layer)
         assert native.is_native()
+        assert native.n_qubits == scheme.n_qubits
+        assert deviation < 1e-9
         ref = layer_unitary(inst, scheme, stats, layer)
         assert verify_unitary(native, ref) < 1e-9
 
@@ -205,30 +245,10 @@ class TestFullLayer:
         terms = cost_hamiltonian_terms(n4_instance, n4_scheme, stats1)
         assert any(len(t.data_qubits) == 1 for t in terms)
         layer = LayerParams(0.9, 0.17, 0.05)
-        circuit = decompose_controls(lower_phase_separator(terms, layer.gamma), n4_scheme)
-        for qubit in range(3):
-            circuit.add("RZ", qubit, angle=-2.0 * layer.gamma_bias)
-            circuit.add("RX", qubit, angle=-2.0 * layer.beta)
+        native, deviation = compile_layer(n4_instance, n4_scheme, stats1, layer)
+        assert deviation < 1e-9
         ref = layer_unitary(n4_instance, n4_scheme, stats1, layer)
-        assert verify_unitary(to_native(circuit), ref) < 1e-9
-
-    def test_ancillas_disentangle_on_random_inputs(self):
-        scheme = make_scheme(8, 2)
-        stats = exact_group_stats(scheme, init_plus(4))
-        inst = generate_sk(8, "pm1", seed=3)
-        ir = lower_phase_separator(cost_hamiltonian_terms(inst, scheme, stats), 0.4)
-        native = to_native(decompose_controls(ir, scheme))
-        full = circuit_unitary(native)
-        rng = np.random.default_rng(0)
-        dim, a = 16, native.n_ancillas
-        for _ in range(5):
-            amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            amps /= np.linalg.norm(amps)
-            embedded = np.zeros(dim << a, dtype=complex)
-            embedded[:: 1 << a] = amps  # ancillas (least significant bits) in |0>
-            out = full @ embedded
-            weight = np.abs(out[:: 1 << a]) ** 2
-            assert abs(weight.sum() - 1.0) < 1e-10
+        assert verify_unitary(native, ref) < 1e-9
 
 
 class TestVerifyUnitary:
@@ -243,6 +263,29 @@ class TestVerifyUnitary:
         ref = ideal_controlled_phase(3, n4_scheme, IRTerm(0, (0, 1), 0.51))
         assert verify_unitary(circuit, ref) > 1e-3
 
+    def test_simulation_matches_kron_product(self):
+        # 50 random native circuits; iSWAPs on non-adjacent and reversed pairs
+        rng = np.random.default_rng(11)
+        iswap_pairs = set()
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            circuit = Circuit(n)
+            for _ in range(12):
+                kind = rng.choice(["RX", "RZ", "X", "ISWAP"] if n > 1 else ["RX", "RZ", "X"])
+                if kind == "ISWAP":
+                    a, b = (int(v) for v in rng.choice(n, 2, replace=False))
+                    circuit.add("ISWAP", a, b)
+                    iswap_pairs.add((a, b))
+                elif kind == "X":
+                    circuit.add("X", int(rng.integers(n)))
+                else:
+                    angle = math.pi / 2 if kind == "RX" else float(rng.uniform(-math.pi, math.pi))
+                    circuit.add(kind, int(rng.integers(n)), angle=angle)
+            assert circuit.is_native()
+            assert np.abs(circuit_unitary(circuit) - kron_unitary(circuit)).max() < 1e-12
+        assert any(a - b > 1 for a, b in iswap_pairs)  # reversed and non-adjacent
+        assert any(b - a > 1 for a, b in iswap_pairs)
+
     def test_qubit_cap(self):
         circuit = Circuit(13)
         with pytest.raises(ValueError, match="capped"):
@@ -251,12 +294,12 @@ class TestVerifyUnitary:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
-        circuit = Circuit(3, 1)
+        circuit = Circuit(3)
         circuit.add("RZ", 0, angle=math.pi / 3)
-        circuit.add("ISWAP", 1, 2)
-        circuit.add("TOFFOLI", 0, 1, 3)
+        circuit.add("ISWAP", 2, 0)
+        circuit.add("CNOT", 1, 2)
         circuit.add("RX", 2, angle=0.1234567890123456789)
-        circuit.add("X", 3)
+        circuit.add("X", 1)
         text = dumps(circuit)
         again = loads(text)
         assert dumps(again) == text
@@ -268,4 +311,4 @@ class TestSerialization:
 
     def test_bad_gate_line(self):
         with pytest.raises(ValueError):
-            loads("# circuit qubits=2 ancillas=0\nRZ 0\n")
+            loads("# circuit qubits=2\nRZ 0\n")

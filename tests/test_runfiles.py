@@ -29,14 +29,6 @@ class TestStreams:
 
 
 class TestCsvAndManifest:
-    def test_append_keeps_single_header(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [[1, 2.5]], append=True)
-        write_csv(path, ["a", "b"], [[3, 0.1]], append=True)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "a,b"
-        assert len(lines) == 3
-
     def test_floats_round_trip_17g(self, tmp_path):
         path = tmp_path / "t.csv"
         value = 0.1234567890123456789
