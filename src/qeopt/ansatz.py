@@ -3,9 +3,12 @@
 Each layer applies exp(i gamma H[psi]) with H measured from the previous
 layer's state, then the symmetry-breaking bias exp(i gamma' sum_i Z_i) over
 the register, then the transverse-field mixer exp(i beta sum X) on all
-qubits. In shot mode the statistics come from sampling a re-executed prefix
-circuit whose earlier phase separators are frozen, so a p-layer run costs
-p + 1 circuit executions.
+qubits. In shot mode the statistics come from sampling the state after each
+layer. On hardware a measurement collapses the state, so layer k's
+statistics need a fresh execution of the prefix with the earlier phase
+separators frozen, and a p-layer run costs p + 1 circuit executions. The
+simulated state never collapses, so both modes carry one statevector
+forward through the p layers and read the statistics between them.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ class AnsatzTrace:
     mode: str  # "exact" or "shots"
     layer_stats: list[GroupStats]
     layer_costs: list[CostBreakdown]
-    frozen_hamiltonians: list[DiagonalOperator]
     final_state: Statevector | None = None
     final_counts: dict[int, int] | None = None
     n_shots: int | None = None
@@ -101,65 +103,35 @@ def run_ansatz(
         raise ValueError("need at least one layer")
     if mode not in ("exact", "shots"):
         raise ValueError(f"mode must be 'exact' or 'shots', got {mode!r}")
-    if mode == "shots" and (n_shots is None or n_shots < 1):
+    shots = mode == "shots"
+    if shots and (n_shots is None or n_shots < 1):
         raise ValueError("shot mode needs n_shots >= 1")
 
-    if mode == "exact":
-        return _run_exact(instance, scheme, params)
-    return _run_shots(instance, scheme, params, n_shots, seed)
-
-
-def _run_exact(instance, scheme, params) -> AnsatzTrace:
     state = init_plus(scheme.n_qubits)
-    stats = exact_group_stats(scheme, state)
-    layer_stats = [stats]
-    layer_costs = [estimate_cost(instance, scheme, stats)]
-    frozen = []
-    for layer in params:
-        hamiltonian = build_cost_hamiltonian(instance, scheme, stats)
-        frozen.append(hamiltonian)
-        apply_layer(state, hamiltonian, layer)
-        stats = exact_group_stats(scheme, state)
-        layer_stats.append(stats)
-        layer_costs.append(estimate_cost(instance, scheme, stats))
-    return AnsatzTrace(
-        instance=instance,
-        scheme=scheme,
-        params=list(params),
-        mode="exact",
-        layer_stats=layer_stats,
-        layer_costs=layer_costs,
-        frozen_hamiltonians=frozen,
-        final_state=state,
-    )
-
-
-def _run_shots(instance, scheme, params, n_shots, seed) -> AnsatzTrace:
-    p = len(params)
     layer_stats: list[GroupStats] = []
     layer_costs: list[CostBreakdown] = []
-    frozen: list[DiagonalOperator] = []
-    counts: dict[int, int] = {}
-    for k in range(p + 1):
-        state = init_plus(scheme.n_qubits)
-        for j in range(k):
-            apply_layer(state, frozen[j], params[j])
-        counts = state.sample(n_shots, seed=seed, key=("ansatz-layer", k))
-        stats = shot_group_stats(scheme, counts, n_shots)
+    counts = None
+    for k in range(len(params) + 1):
+        if k:
+            hamiltonian = build_cost_hamiltonian(instance, scheme, layer_stats[-1])
+            apply_layer(state, hamiltonian, params[k - 1])
+        if shots:
+            counts = state.sample(n_shots, seed=seed, key=("ansatz-layer", k))
+            stats = shot_group_stats(scheme, counts, n_shots)
+        else:
+            stats = exact_group_stats(scheme, state)
         layer_stats.append(stats)
         layer_costs.append(estimate_cost(instance, scheme, stats))
-        if k < p:
-            frozen.append(build_cost_hamiltonian(instance, scheme, stats))
     return AnsatzTrace(
         instance=instance,
         scheme=scheme,
         params=list(params),
-        mode="shots",
+        mode=mode,
         layer_stats=layer_stats,
         layer_costs=layer_costs,
-        frozen_hamiltonians=frozen,
+        final_state=None if shots else state,
         final_counts=counts,
-        n_shots=n_shots,
+        n_shots=n_shots if shots else None,
     )
 
 

@@ -269,14 +269,17 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
     The native circuit runs on a 2q-qubit statevector holding the identity:
     amplitude (row, col) sits at index row * 2^q + col, so the gates act on
-    the row index (qubits 0..q-1) of every column at once.
+    the row index (qubits 0..q-1) of every column at once. A circuit that is
+    not native yet is lowered first, so no CNOT reaches the gate loop.
     """
     q = circuit.n_qubits
     _check_verifiable(q)
     dim = 1 << q
     state = Statevector(2 * q)
     state.amps[:: dim + 1] = 1.0
-    for gate in to_native(circuit).gates:
+    if not circuit.is_native():
+        circuit = to_native(circuit)
+    for gate in circuit.gates:
         if gate.name == "RX":
             state.apply_rx(gate.qubits[0], gate.angle)
         elif gate.name == "RZ":

@@ -34,12 +34,11 @@ class GroupStats:
 
     p_label: np.ndarray  # (N/d,)
     zbar: np.ndarray  # (N,)
-    pair_corr: dict[tuple[int, int], float]
+    # (N/d, C(d,2)): column k holds the pair data_pair_indices(d)[k] of each label
+    corr_matrix: np.ndarray = field(repr=False)
     observed: np.ndarray  # (N/d,) bool
     source: str  # "exact" or "shots"
     n_shots: int | None = None
-    # (N/d, C(d,2)) matrix mirror of pair_corr for vectorized consumers
-    corr_matrix: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_unobserved(self) -> int:
@@ -94,21 +93,13 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray, source: str,
     np.clip(zbar_mat, -1.0, 1.0, out=zbar_mat)
     np.clip(corr_mat, -1.0, 1.0, out=corr_mat)
 
-    pairs = data_pair_indices(d)
-    pair_corr: dict[tuple[int, int], float] = {}
-    for label in range(scheme.n_groups):
-        base = d * label
-        for idx, (a, b) in enumerate(pairs):
-            pair_corr[(base + a, base + b)] = float(corr_mat[label, idx])
-
     return GroupStats(
         p_label=p_label,
         zbar=zbar_mat.ravel(),
-        pair_corr=pair_corr,
+        corr_matrix=corr_mat,
         observed=observed,
         source=source,
         n_shots=n_shots,
-        corr_matrix=corr_mat,
     )
 
 

@@ -1,7 +1,7 @@
 """Variational parameter search, cross-size transfer, and concentration runs.
 
 The search is a basin-hopping loop: Gaussian perturbation of the incumbent
-(wrapped into the parameter box), derivative-free local refinement, accept
+(wrapped into the parameter box), Nelder-Mead local refinement, accept
 on improvement. The box is beta in [0, pi), gamma and gamma' in [-pi, pi).
 Optimal gamma coefficients shrink like d/N^(3/2), which both sets the hop
 scale for gamma and gives the rescaling rule for reusing parameters across
@@ -21,14 +21,11 @@ from qeopt.encoding import EncodingScheme
 from qeopt.problem import OptimumRecord, SKInstance, approximation_ratio, ground_truth
 from qeopt.rng import stream
 
-LOCAL_METHODS = ("nelder_mead", "coordinate_descent")
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     n_hops: int = 20
     hop_scale: float = 1.0
-    local_method: str = "nelder_mead"
     local_tol: float = 1e-6
     max_local_evals: int = 200
     beta_bounds: tuple[float, float] = (0.0, math.pi)
@@ -41,8 +38,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.n_hops < 0 or self.max_local_evals < 1 or self.local_tol <= 0:
             raise ValueError("optimizer budgets must be positive")
-        if self.local_method not in LOCAL_METHODS:
-            raise ValueError(f"local method must be one of {LOCAL_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -130,44 +125,13 @@ def _local_refine(fn: _CostFunction, x0: np.ndarray) -> None:
     budget = cfg.max_local_evals
     bounds = fn.bounds_list()
     x0 = np.clip(x0, [lo for lo, _ in bounds], [hi for _, hi in bounds])
-    if fn.config.local_method == "nelder_mead":
-        sciopt.minimize(
-            fn,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxfev": budget, "fatol": cfg.local_tol, "xatol": cfg.local_tol},
-        )
-        return
-    # cyclic coordinate descent with bounded scalar searches
-    x = np.array(x0, dtype=np.float64)
-    start_evals = fn.eval_count
-    current = fn(x)
-    while fn.eval_count - start_evals < budget:
-        improved = False
-        for k in range(len(x)):
-            lo, hi = bounds[k]
-            span = hi - lo
-
-            def along(t, k=k):
-                trial = x.copy()
-                trial[k] = t
-                return fn(trial)
-
-            res = sciopt.minimize_scalar(
-                along,
-                bounds=(max(lo, x[k] - 0.25 * span), min(hi, x[k] + 0.25 * span)),
-                method="bounded",
-                options={"maxiter": 12, "xatol": cfg.local_tol},
-            )
-            if res.fun < current - cfg.local_tol:
-                x[k] = res.x
-                current = res.fun
-                improved = True
-            if fn.eval_count - start_evals >= budget:
-                break
-        if not improved:
-            break
+    sciopt.minimize(
+        fn,
+        x0,
+        method="Nelder-Mead",
+        bounds=bounds,
+        options={"maxfev": budget, "fatol": cfg.local_tol, "xatol": cfg.local_tol},
+    )
 
 
 def _presearch(fn: _CostFunction) -> np.ndarray:

@@ -32,6 +32,8 @@ class SKInstance:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.n_vars, self.n_vars):
             raise ValueError(f"weights must be ({self.n_vars}, {self.n_vars}), got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w[np.tril_indices(self.n_vars)] != 0.0):
             raise ValueError("weights must be strictly upper triangular")
         w = w.copy()

@@ -126,8 +126,7 @@ def test_criterion_03_optimal_point_state(fixture_instance, fixture_scheme):
         and np.abs(probs[[0b000, 0b011, 0b100, 0b111]]).max() < 1e-9
         and abs(trace.final_cost - (-2.0)) < 1e-9
         and np.abs(stats.zbar).max() < 1e-9
-        and abs(stats.pair_corr[(0, 1)] + 1.0) < 1e-9
-        and abs(stats.pair_corr[(2, 3)] + 1.0) < 1e-9
+        and np.abs(stats.corr_matrix[:, 0] + 1.0).max() < 1e-9
     )
     report(3, "optimal-point state", ok,
            f"cost={trace.final_cost:.12f}, |zbar|max={np.abs(stats.zbar).max():.2e}, "

@@ -3,11 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeopt.ansatz import AnsatzTrace, LayerParams, extract_solution, landscape, run_ansatz
+from qeopt.ansatz import (
+    AnsatzTrace,
+    LayerParams,
+    apply_layer,
+    extract_solution,
+    landscape,
+    run_ansatz,
+)
 from qeopt.encoding import encode_target, make_scheme, uniform_lambdas
-from qeopt.estimator import exact_group_stats
+from qeopt.estimator import (
+    build_cost_hamiltonian,
+    estimate_cost,
+    exact_group_stats,
+    shot_group_stats,
+)
 from qeopt.problem import cost, generate_sk
-from qeopt.simulator import Statevector
+from qeopt.simulator import Statevector, init_plus
 
 
 def plain_qaoa_costs(instance, params):
@@ -69,8 +81,8 @@ class TestOptimalPoint:
         assert trace.final_cost == pytest.approx(-2.0, abs=1e-9)
         stats = trace.layer_stats[-1]
         np.testing.assert_allclose(stats.zbar, 0.0, atol=1e-9)
-        assert stats.pair_corr[(0, 1)] == pytest.approx(-1.0, abs=1e-9)
-        assert stats.pair_corr[(2, 3)] == pytest.approx(-1.0, abs=1e-9)
+        assert stats.corr_matrix[0, 0] == pytest.approx(-1.0, abs=1e-9)
+        assert stats.corr_matrix[1, 0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_all_zero_parameters_keep_layer0_cost(self, n4_instance, n4_scheme):
         trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(0, 0, 0)] * 2)
@@ -81,7 +93,6 @@ class TestOptimalPoint:
         trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.1, 0.05)] * 3)
         assert len(trace.layer_stats) == 4
         assert len(trace.layer_costs) == 4
-        assert len(trace.frozen_hamiltonians) == 3
 
 
 class TestDNReduction:
@@ -143,14 +154,14 @@ class TestShotMode:
         ]
         assert abs(np.mean(costs) - exact) < 0.05
 
-    def test_shot_trace_carries_counts_and_frozen_operators(self, n4_instance, n4_scheme):
+    def test_shot_trace_carries_counts_and_per_layer_stats(self, n4_instance, n4_scheme):
         trace = run_ansatz(
             n4_instance, n4_scheme, [LayerParams(0.5, 0.2, 0.1)] * 2, mode="shots",
             n_shots=500, seed=1,
         )
         assert trace.final_state is None
         assert sum(trace.final_counts.values()) == 500
-        assert len(trace.frozen_hamiltonians) == 2
+        assert len(trace.layer_stats) == 3
         assert trace.layer_stats[0].source == "shots"
 
     def test_shot_mode_deterministic(self, n4_instance, n4_scheme):
@@ -168,6 +179,73 @@ class TestShotMode:
             run_ansatz(n4_instance, n4_scheme, [LayerParams(0, 0, 0)], mode="shots")
 
 
+def reference_exact_run(instance, scheme, params):
+    """The per-layer exact loop as it ran before both modes shared one pass."""
+    state = init_plus(scheme.n_qubits)
+    stats = exact_group_stats(scheme, state)
+    layer_stats = [stats]
+    layer_costs = [estimate_cost(instance, scheme, stats)]
+    for layer in params:
+        apply_layer(state, build_cost_hamiltonian(instance, scheme, stats), layer)
+        stats = exact_group_stats(scheme, state)
+        layer_stats.append(stats)
+        layer_costs.append(estimate_cost(instance, scheme, stats))
+    return layer_stats, layer_costs, None
+
+
+def reference_shot_run(instance, scheme, params, n_shots, seed):
+    """The hardware protocol: every layer's statistics come from a fresh run
+    of the prefix from |+> with the earlier phase separators frozen."""
+    frozen, layer_stats, layer_costs, counts = [], [], [], None
+    for k in range(len(params) + 1):
+        state = init_plus(scheme.n_qubits)
+        for j in range(k):
+            apply_layer(state, frozen[j], params[j])
+        counts = state.sample(n_shots, seed=seed, key=("ansatz-layer", k))
+        stats = shot_group_stats(scheme, counts, n_shots)
+        layer_stats.append(stats)
+        layer_costs.append(estimate_cost(instance, scheme, stats))
+        frozen.append(build_cost_hamiltonian(instance, scheme, stats))
+    return layer_stats, layer_costs, counts
+
+
+class TestForwardPassAgreement:
+    """One carried-forward state reproduces both earlier per-mode loops bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(4, 2), (16, 4), (64, 4)], ids=lambda s: "%dx%d" % s)
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    def test_bit_identical_to_reference(self, mode, shape, p):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        instance = generate_sk(n, "gaussian", seed=n + p)
+        rng = np.random.default_rng(100 * n + p)
+        params = [
+            LayerParams(
+                float(rng.uniform(0, np.pi)),
+                float(rng.uniform(-0.5, 0.5)),
+                float(rng.uniform(-0.5, 0.5)),
+            )
+            for _ in range(p)
+        ]
+        if mode == "exact":
+            trace = run_ansatz(instance, scheme, params)
+            ref_stats, ref_costs, ref_counts = reference_exact_run(instance, scheme, params)
+        else:
+            trace = run_ansatz(instance, scheme, params, mode="shots", n_shots=500, seed=9)
+            ref_stats, ref_costs, ref_counts = reference_shot_run(
+                instance, scheme, params, 500, 9
+            )
+        assert trace.final_counts == ref_counts
+        assert len(trace.layer_stats) == len(ref_stats) == p + 1
+        for k in range(p + 1):
+            assert trace.layer_costs[k].total == ref_costs[k].total
+            got, want = trace.layer_stats[k], ref_stats[k]
+            assert np.array_equal(got.p_label, want.p_label)
+            assert np.array_equal(got.zbar, want.zbar)
+            assert np.array_equal(got.corr_matrix, want.corr_matrix)
+
+
 class TestExtractSolution:
     def test_recovers_encoded_string(self, n4_instance, n4_scheme):
         z = np.array([1, -1, -1, 1])
@@ -182,7 +260,6 @@ class TestExtractSolution:
             mode="exact",
             layer_stats=[stats],
             layer_costs=[estimate_cost(n4_instance, n4_scheme, stats)],
-            frozen_hamiltonians=[],
             final_state=state,
         )
         got, got_cost = extract_solution(trace, n4_scheme)

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +250,18 @@ class TestBaselineCmd:
         assert float(values["baseline_ratio"]) == 0.5
         assert float(values["asymptotic_ratio_p1"]) == pytest.approx(0.5 * np.sqrt(0.5))
 
+    def test_non_finite_weight_exits_3(self, runner, fixture_file, tmp_path):
+        text = fixture_file.read_text().splitlines()
+        i, j, _ = text[-1].split()
+        bad = tmp_path / "nan.txt"
+        bad.write_text("\n".join(text[:-1] + [f"{i} {j} nan"]) + "\n")
+        out = tmp_path / "base.csv"
+        result = runner.invoke(main, ["baseline", "--instance", str(bad), "--d", "2",
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "weights must be finite" in result.output
+        assert not out.exists()
+
 
 class TestShotsCmd:
     def test_emits_error_columns(self, runner, fixture_file, tmp_path):
@@ -307,6 +320,43 @@ class TestTransferCmd:
         assert len(lines) == 3
         ratios = [float(l.split(",")[7]) for l in lines[1:]]
         assert all(r <= 1.0 + 1e-9 for r in ratios)
+
+
+# command -> (argv given the instance file and the output path, written file)
+RERUN_CASES = {
+    "landscape-shots": lambda inst, out: (
+        ["landscape", "--instance", inst, "--d", "2", "--beta-steps", "3", "--gamma-steps", "3",
+         "--mode", "shots", "--shots", "200", "--seed", "4", "--out", out], out),
+    "entropy": lambda inst, out: (
+        ["entropy", "--n", "64", "--d-list", "2,4", "--samples", "3", "--seed", "2",
+         "--out", out], out),
+    "baseline": lambda inst, out: (
+        ["baseline", "--instance", inst, "--d", "2", "--r-star", "1:0.5", "--out", out], out),
+    "shots": lambda inst, out: (
+        ["shots", "--instance", inst, "--d", "2", "--params", "0.5,0.2,0.1;0.3,-0.1,0",
+         "--shot-counts", "50,100", "--replicas", "3", "--seed", "5", "--out", out], out),
+    "transfer": lambda inst, out: (
+        ["transfer", "--donor-instance", inst, "--target-instance", inst, "--d", "2",
+         "--p", "1", "--donor-params", "0.4,0.05,0.3", "--out", out], out),
+    "compile-check": lambda inst, out: (
+        ["compile-check", "--fixture-n4", "--out", out], out),
+    "generate": lambda inst, out: (
+        ["generate", "--n", "8", "--count", "1", "--seed", "3", "--out", out],
+        f"{out}/sk_n8_pm1_000.txt"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_rerun_reproduces_byte_for_byte(runner, fixture_file, tmp_path, case):
+    argv, written = RERUN_CASES[case](str(fixture_file), str(tmp_path / "out"))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    written = Path(written)
+    first = written.read_bytes()
+    written.unlink()
+    result = runner.invoke(main, ["rerun", "--manifest", f"{written}.manifest.json"])
+    assert result.exit_code == 0, result.output
+    assert written.read_bytes() == first
 
 
 def test_help_lists_commands(runner):

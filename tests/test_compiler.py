@@ -286,6 +286,20 @@ class TestVerifyUnitary:
         assert any(a - b > 1 for a, b in iswap_pairs)  # reversed and non-adjacent
         assert any(b - a > 1 for a, b in iswap_pairs)
 
+    def test_native_circuit_is_not_lowered_again(self, monkeypatch):
+        import qeopt.compiler as compiler
+
+        native = to_native(Circuit(2).add("CNOT", 0, 1).add("RX", 1, angle=0.3))
+        expected = circuit_unitary(native)
+
+        def refuse(circuit):
+            raise AssertionError("to_native called on a native circuit")
+
+        monkeypatch.setattr(compiler, "to_native", refuse)
+        np.testing.assert_array_equal(circuit_unitary(native), expected)
+        with pytest.raises(AssertionError, match="to_native"):
+            circuit_unitary(Circuit(2).add("CNOT", 0, 1))
+
     def test_qubit_cap(self):
         circuit = Circuit(13)
         with pytest.raises(ValueError, match="capped"):

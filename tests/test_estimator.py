@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeopt.encoding import encode_target, make_scheme, uniform_lambdas
@@ -37,8 +37,8 @@ class TestExactStats:
         state = Statevector(3, encode_target(n4_scheme, z, uniform_lambdas(n4_scheme)))
         stats = exact_group_stats(n4_scheme, state)
         np.testing.assert_allclose(stats.zbar, z, atol=1e-12)
-        assert stats.pair_corr[(0, 1)] == pytest.approx(z[0] * z[1])
-        assert stats.pair_corr[(2, 3)] == pytest.approx(z[2] * z[3])
+        assert stats.corr_matrix[0, 0] == pytest.approx(z[0] * z[1])
+        assert stats.corr_matrix[1, 0] == pytest.approx(z[2] * z[3])
 
     def test_supp_bell_pattern(self, n4_scheme):
         # c0 = c3 = 1/sqrt(2): zbar vanishes, corr(0,1) = +1
@@ -47,7 +47,7 @@ class TestExactStats:
         stats = exact_group_stats(n4_scheme, Statevector(3, amps))
         assert stats.zbar[0] == pytest.approx(0.0, abs=1e-14)
         assert stats.zbar[1] == pytest.approx(0.0, abs=1e-14)
-        assert stats.pair_corr[(0, 1)] == pytest.approx(1.0)
+        assert stats.corr_matrix[0, 0] == pytest.approx(1.0)
         assert not stats.observed[1]
 
     def test_unobserved_label_flagged_and_zeroed(self, n4_scheme):
@@ -57,14 +57,14 @@ class TestExactStats:
         assert stats.observed[0] and not stats.observed[1]
         assert stats.n_unobserved == 1
         np.testing.assert_array_equal(stats.zbar[2:], 0.0)
-        assert stats.pair_corr[(2, 3)] == 0.0
+        assert stats.corr_matrix[1, 0] == 0.0
 
 
 class TestShotStats:
     def test_concentrated_counts(self, n4_scheme):
         stats = shot_group_stats(n4_scheme, {0b001: 50}, 50)
         np.testing.assert_allclose(stats.zbar[:2], [1, -1])
-        assert stats.pair_corr[(0, 1)] == pytest.approx(-1.0)
+        assert stats.corr_matrix[0, 0] == pytest.approx(-1.0)
         assert not stats.observed[1]
         assert stats.n_shots == 50
 
@@ -80,8 +80,7 @@ class TestShotStats:
         counts = trace.final_state.sample(10_000, seed=3)
         shots = shot_group_stats(n4_scheme, counts, 10_000)
         np.testing.assert_allclose(shots.zbar, exact.zbar, atol=0.05)
-        for key in exact.pair_corr:
-            assert shots.pair_corr[key] == pytest.approx(exact.pair_corr[key], abs=0.05)
+        np.testing.assert_allclose(shots.corr_matrix, exact.corr_matrix, atol=0.05)
 
     def test_conditionally_unbiased_pair_correlation(self, n4_scheme):
         rng = np.random.default_rng(17)
@@ -93,9 +92,9 @@ class TestShotStats:
             counts = state.sample(1000, seed=rep, key=("unbiased",))
             stats = shot_group_stats(n4_scheme, counts, 1000)
             assert stats.observed.all()  # 1000 shots, both labels near 1/2
-            values[rep] = stats.pair_corr[(0, 1)]
+            values[rep] = stats.corr_matrix[0, 0]
         se = values.std(ddof=1) / np.sqrt(reps)
-        assert abs(values.mean() - exact.pair_corr[(0, 1)]) < max(3 * se, 1e-12)
+        assert abs(values.mean() - exact.corr_matrix[0, 0]) < max(3 * se, 1e-12)
 
 
 class TestCost:
@@ -167,22 +166,38 @@ class TestHamiltonian:
             estimate_cost(inst, scheme, stats).total, abs=1e-9
         )
 
-    def test_terms_match_dense_diagonal(self, n4_instance, n4_scheme):
-        rng = np.random.default_rng(5)
-        state = random_state(rng, 3)
-        stats = exact_group_stats(n4_scheme, state)
-        terms = cost_hamiltonian_terms(n4_instance, n4_scheme, stats)
-        dense = build_cost_hamiltonian(n4_instance, n4_scheme, stats)
-        rebuilt = np.zeros(8)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(4, 2), (8, 2), (8, 4), (16, 2), (16, 4), (8, 8)]),
+        st.sampled_from(["pm1", "gaussian"]),
+        st.integers(0, 10_000),
+        st.booleans(),
+    )
+    @example((8, 2), "gaussian", 3, True)
+    def test_terms_match_dense_diagonal(self, shape, kind, seed, drop_label):
+        """The term list, expanded over the basis, is the dense diagonal."""
+        n, d = shape
+        inst = generate_sk(n, kind, seed=seed)
+        scheme = make_scheme(n, d)
+        rng = np.random.default_rng(seed)
+        amps = random_state(rng, scheme.n_qubits).amps.reshape(scheme.n_groups, 1 << d)
+        if drop_label and scheme.n_groups > 1:
+            amps[rng.integers(scheme.n_groups)] = 0.0
+        state = Statevector(scheme.n_qubits, amps.ravel() / np.linalg.norm(amps))
+        stats = exact_group_stats(scheme, state)
+        assert stats.n_unobserved == (1 if drop_label and scheme.n_groups > 1 else 0)
+
+        terms = cost_hamiltonian_terms(inst, scheme, stats)
+        dense = build_cost_hamiltonian(inst, scheme, stats).entries
+        pattern = np.arange(1 << d)
+        rebuilt = np.zeros((scheme.n_groups, 1 << d))
         for term in terms:
-            for k in range(8):
-                if (k >> 2) != term.label:
-                    continue
-                s = 1.0
-                for dq in term.data_qubits:
-                    s *= 1 - 2 * ((k >> (1 - dq)) & 1)
-                rebuilt[k] += term.coefficient * s
-        np.testing.assert_allclose(rebuilt, dense.entries, atol=1e-12)
+            z = np.ones(1 << d)
+            for dq in term.data_qubits:
+                z *= 1 - 2 * ((pattern >> (d - 1 - dq)) & 1)
+            rebuilt[term.label] += term.coefficient * z
+        scale = np.abs(dense).max()
+        assert np.abs(rebuilt.ravel() - dense).max() <= 1e-12 * scale
 
     def test_unobserved_label_terms_dropped(self, n4_instance, n4_scheme, caplog):
         amps = np.zeros(8, dtype=complex)

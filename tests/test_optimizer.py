@@ -62,14 +62,6 @@ class TestOptimize:
         assert (np.diff(history) <= 1e-12).all()
         assert result.best_cost == history[-1]
 
-    def test_coordinate_descent_backend(self, n4_instance, n4_scheme):
-        config = OptimizerConfig(
-            freeze_gamma_bias=True, local_method="coordinate_descent",
-            n_hops=4, max_local_evals=150, seed=2,
-        )
-        result = optimize(n4_instance, n4_scheme, 1, config, c_star=-4.0)
-        assert result.best_cost == pytest.approx(-2.0, abs=1e-3)
-
     def test_warm_start_monotone_in_p(self, n4_instance, n4_scheme):
         sched = warm_start_schedule(
             n4_instance, n4_scheme, 3, OptimizerConfig(n_hops=4, seed=5), c_star=-4.0
@@ -167,10 +159,6 @@ class TestConfigValidation:
             OptimizerConfig(n_hops=-1)
         with pytest.raises(ValueError):
             OptimizerConfig(local_tol=0.0)
-
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(local_method="newton")
 
     def test_initial_length_checked(self, n4_instance, n4_scheme):
         config = OptimizerConfig(initial=(LayerParams(0, 0, 0),))

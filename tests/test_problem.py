@@ -45,6 +45,15 @@ class TestGenerate:
             generate_sk(4, "uniform", seed=0)
 
 
+class TestInstanceValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.zeros((3, 3))
+        w[0, 1], w[1, 2] = 1.0, bad
+        with pytest.raises(ValueError, match="finite"):
+            SKInstance(3, w, "gaussian", seed=0)
+
+
 class TestCost:
     def test_worked_example_ground_state(self, n4_instance):
         assert cost(n4_instance, np.array([1, -1, 1, -1])) == -4.0
