@@ -118,7 +118,7 @@ def baseline_ratio(p: int, n_vars: int, group_size: int, table: BaselineTable) -
     return table.r_star[p] * math.sqrt(group_size / n_vars)
 
 
-def decomposed_baseline_exact(instance: SKInstance, scheme: EncodingScheme, cap: int = 24) -> float:
+def decomposed_baseline_exact(instance: SKInstance, scheme: EncodingScheme) -> float:
     """Sum of exact optima of the intra-group subproblems.
 
     The exact limit of the label-untouched ansatz: cross-group weights are
@@ -127,8 +127,6 @@ def decomposed_baseline_exact(instance: SKInstance, scheme: EncodingScheme, cap:
     if instance.n_vars != scheme.n_vars:
         raise ValueError("instance and scheme sizes must match")
     d = scheme.group_size
-    if d > cap:
-        raise ValueError(f"exact subproblem solves capped at d={cap}, got {d}")
     total = 0.0
     for label in range(scheme.n_groups):
         sl = slice(d * label, d * (label + 1))

@@ -9,8 +9,8 @@ invocation reproduces output files byte-for-byte. Exit codes: 0 success,
 from __future__ import annotations
 
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import click
@@ -65,10 +65,12 @@ def _reconstruct_argv(ctx: click.Context) -> list[str]:
     return argv
 
 
-def _emit(command: str, params: dict, seed: int | None, inputs: list[str], out_path: Path) -> None:
-    ctx = click.get_current_context(silent=True)
-    argv = _reconstruct_argv(ctx) if ctx else sys.argv[1:]
-    manifest = runfiles.make_manifest(command, argv, params, seed, inputs, [str(out_path)])
+def _emit(inputs: list[str], out_path: Path) -> None:
+    """Write the manifest of the running command: its flags, minus seed and out, are the config."""
+    ctx = click.get_current_context()
+    config = {k: v for k, v in ctx.params.items() if k not in ("seed", "out")}
+    manifest = runfiles.make_manifest(ctx.command.name, _reconstruct_argv(ctx), config,
+                                      ctx.params["seed"], inputs, [str(out_path)])
     runfiles.write_manifest(manifest, out_path)
 
 
@@ -83,13 +85,20 @@ def _load_instance(path: str, d: int, allow_padding: bool):
 def _parse_params(text: str) -> list[LayerParams]:
     layers = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 3:
+        try:
+            values = [float(v) for v in chunk.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != 3 or not all(math.isfinite(v) for v in values):
             raise click.UsageError(
-                f"bad --params layer {chunk!r}: need 'beta,gamma,gamma_bias'"
+                f"bad parameter layer {chunk!r}: need three finite numbers 'beta,gamma,gamma_bias'"
             )
-        layers.append(LayerParams(*(float(v) for v in parts)))
+        layers.append(LayerParams(*values))
     return layers
+
+
+def _params_text(layers) -> str:
+    return ";".join(f"{lp.beta:.17g},{lp.gamma:.17g},{lp.gamma_bias:.17g}" for lp in layers)
 
 
 def _pmap(fn, items, jobs: int):
@@ -99,7 +108,17 @@ def _pmap(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Group(click.Group):
+    """Command group whose bad input files and numeric failures exit with code 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise RuntimeFailure(str(exc))
+
+
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 def main():
     """Qubit-efficient spin-glass solver: experiments as reproducible commands.
 
@@ -127,24 +146,16 @@ def generate(n, kind, count, seed, fixture_n4, out):
     _fail_usage(problems)
     out_dir = Path(out) if out else runfiles.default_out_dir() / "instances"
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        if fixture_n4:
-            path = out_dir / "fixture_n4.txt"
-            runfiles.write_instance(example_instance_n4(), path)
-            written.append(path)
-        else:
-            for k in range(count):
-                inst_seed = int(stream(seed, "instance", k).integers(0, 2**31 - 1))
-                inst = generate_sk(n, kind, seed=inst_seed)
-                path = out_dir / f"sk_n{n}_{kind}_{k:03d}.txt"
-                runfiles.write_instance(inst, path)
-                written.append(path)
-    except OSError as exc:
-        raise RuntimeFailure(f"cannot write instances: {exc}")
-    for path in written:
-        _emit("generate", {"n": n, "kind": kind, "count": count, "fixture_n4": fixture_n4},
-              seed, [], path)
+    if fixture_n4:
+        named = [("fixture_n4.txt", example_instance_n4())]
+    else:
+        seeds = [int(stream(seed, "instance", k).integers(0, 2**31 - 1)) for k in range(count)]
+        named = [(f"sk_n{n}_{kind}_{k:03d}.txt", generate_sk(n, kind, seed=inst_seed))
+                 for k, inst_seed in enumerate(seeds)]
+    for name, inst in named:
+        path = out_dir / name
+        runfiles.write_instance(inst, path)
+        _emit([], path)
         click.echo(f"wrote {path}")
 
 
@@ -180,55 +191,44 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         problems.append("--d must be >= 1")
     _fail_usage(problems)
     out_path = _resolve_out(out, "solve.csv")
-    try:
-        inst, scheme = _load_instance(instance_path, d, allow_padding)
-        record = ground_truth(inst, seed=seed)
-        config = opt.OptimizerConfig(
-            n_hops=hops, max_local_evals=local_evals,
-            freeze_gamma_bias=freeze_gamma_bias, seed=seed,
-        )
-        if warm_start:
-            results = opt.warm_start_schedule(inst, scheme, p, config, record.best_cost)
-            result = results[p]
-        else:
-            result = opt.optimize(inst, scheme, p, config, record.best_cost)
-        trace = run_ansatz(inst, scheme, list(result.best_params), mode=mode,
-                           n_shots=shots, seed=seed)
-        solution, rounded_cost = extract_solution(trace, scheme, seed=seed)
-        ratio = trace.final_cost / record.best_cost
-        n_raw = scheme.n_vars_raw or scheme.n_vars
-        solution = solution[:n_raw]
-        params_text = ";".join(
-            f"{lp.beta:.17g},{lp.gamma:.17g},{lp.gamma_bias:.17g}" for lp in result.best_params
-        )
-        row = [
-            Path(instance_path).name, inst.n_vars, d, p, mode, shots or 0, seed,
-            trace.final_cost, record.best_cost, record.method, ratio,
-            result.eval_count, rounded_cost, rounded_cost / record.best_cost,
-            params_text, "".join("+" if v > 0 else "-" for v in solution),
-        ]
-        runfiles.write_csv(
-            out_path,
-            ["instance", "n_vars", "d", "p", "mode", "shots", "seed", "cost", "c_star",
-             "c_star_method", "ratio", "eval_count", "rounded_cost", "rounded_ratio",
-             "params", "solution"],
-            [row],
-        )
-    except (ValueError, OSError) as exc:
-        raise RuntimeFailure(str(exc))
-    _emit("solve", {"instance": instance_path, "d": d, "p": p, "mode": mode, "shots": shots,
-                    "hops": hops, "local_evals": local_evals,
-                    "freeze_gamma_bias": freeze_gamma_bias, "warm_start": warm_start},
-          seed, [instance_path], out_path)
+    inst, scheme = _load_instance(instance_path, d, allow_padding)
+    record = ground_truth(inst, seed=seed)
+    config = opt.OptimizerConfig(
+        n_hops=hops, max_local_evals=local_evals,
+        freeze_gamma_bias=freeze_gamma_bias, seed=seed,
+    )
+    if warm_start:
+        results = opt.warm_start_schedule(inst, scheme, p, config, record.best_cost)
+        result = results[p]
+    else:
+        result = opt.optimize(inst, scheme, p, config, record.best_cost)
+    trace = run_ansatz(inst, scheme, list(result.best_params), mode=mode,
+                       n_shots=shots, seed=seed)
+    solution, rounded_cost = extract_solution(trace, scheme, seed=seed)
+    ratio = trace.final_cost / record.best_cost
+    n_raw = scheme.n_vars_raw or scheme.n_vars
+    solution = solution[:n_raw]
+    row = [
+        Path(instance_path).name, inst.n_vars, d, p, mode, shots or 0, seed,
+        trace.final_cost, record.best_cost, record.method, ratio,
+        result.eval_count, rounded_cost, rounded_cost / record.best_cost,
+        _params_text(result.best_params), "".join("+" if v > 0 else "-" for v in solution),
+    ]
+    runfiles.write_csv(
+        out_path,
+        ["instance", "n_vars", "d", "p", "mode", "shots", "seed", "cost", "c_star",
+         "c_star_method", "ratio", "eval_count", "rounded_cost", "rounded_ratio",
+         "params", "solution"],
+        [row],
+    )
+    _emit([instance_path], out_path)
     click.echo(f"cost {trace.final_cost:.6f} (r = {ratio:.4f}) -> {out_path}")
 
 
 # ---------------------------------------------------------------------------
-def _landscape_row(args):
-    instance_path, d, beta, gammas, gamma_bias, mode, shots, seed, bi = args
-    inst = runfiles.read_instance(instance_path)
-    scheme = make_scheme(inst.n_vars, d)
-    row = landscape(inst, scheme, np.array([beta]), np.asarray(gammas),
+def _landscape_row(inst, scheme, gammas, gamma_bias, mode, shots, seed, beta_row):
+    bi, beta = beta_row
+    row = landscape(inst, scheme, np.array([beta]), gammas,
                     gamma_bias=gamma_bias, mode=mode, n_shots=shots,
                     seed=seed * 100_003 + bi)
     return row[0]
@@ -260,23 +260,15 @@ def landscape_cmd(instance_path, d, beta_steps, gamma_steps, gamma_bias, mode, s
     out_path = _resolve_out(out, "landscape.csv")
     betas = np.linspace(0.0, math.pi, beta_steps)
     gammas = np.linspace(-math.pi, math.pi, gamma_steps)
-    try:
-        tasks = [
-            (instance_path, d, float(beta), gammas.tolist(), gamma_bias, mode, shots, seed, bi)
-            for bi, beta in enumerate(betas)
-        ]
-        grid_rows = _pmap(_landscape_row, tasks, jobs)
-        rows = []
-        for beta, grid_row in zip(betas, grid_rows):
-            for gamma, cost in zip(gammas, grid_row):
-                rows.append([beta, gamma, cost])
-        runfiles.write_csv(out_path, ["beta", "gamma", "cost"], rows)
-    except (ValueError, OSError) as exc:
-        raise RuntimeFailure(str(exc))
-    _emit("landscape", {"instance": instance_path, "d": d, "beta_steps": beta_steps,
-                        "gamma_steps": gamma_steps, "gamma_bias": gamma_bias, "mode": mode,
-                        "shots": shots, "jobs": jobs},
-          seed, [instance_path], out_path)
+    inst, scheme = _load_instance(instance_path, d, allow_padding=False)
+    row_fn = partial(_landscape_row, inst, scheme, gammas, gamma_bias, mode, shots, seed)
+    grid_rows = _pmap(row_fn, list(enumerate(betas.tolist())), jobs)
+    rows = []
+    for beta, grid_row in zip(betas, grid_rows):
+        for gamma, cost in zip(gammas, grid_row):
+            rows.append([beta, gamma, cost])
+    runfiles.write_csv(out_path, ["beta", "gamma", "cost"], rows)
+    _emit([instance_path], out_path)
     click.echo(f"wrote {out_path}")
 
 
@@ -297,21 +289,18 @@ def entropy(n, d_list, samples, seed, out):
     except ValueError:
         raise click.UsageError(f"--d-list must be comma-separated ints, got {d_list!r}")
     problems = [f"d={d} does not divide N={n} with a power-of-two quotient"
-                for d in ds if n % d or ((n // d) & (n // d - 1))]
+                for d in ds if d < 1 or n % d or ((n // d) & (n // d - 1))]
     if samples < 1:
         problems.append("--samples must be >= 1")
     _fail_usage(problems)
     out_path = _resolve_out(out, "entropy.csv")
-    try:
-        profile = ana.entropy_profile(n, ds, n_samples=samples, seed=seed)
-        rows = [
-            [d, s, min(d, int(math.log2(n // d)))]
-            for d, s in zip(profile.group_sizes, profile.mean_entropy)
-        ]
-        runfiles.write_csv(out_path, ["d", "mean_entropy_bits", "bound_bits"], rows)
-    except (ValueError, OSError) as exc:
-        raise RuntimeFailure(str(exc))
-    _emit("entropy", {"n": n, "d_list": d_list, "samples": samples}, seed, [], out_path)
+    profile = ana.entropy_profile(n, ds, n_samples=samples, seed=seed)
+    rows = [
+        [d, s, min(d, int(math.log2(n // d)))]
+        for d, s in zip(profile.group_sizes, profile.mean_entropy)
+    ]
+    runfiles.write_csv(out_path, ["d", "mean_entropy_bits", "bound_bits"], rows)
+    _emit([], out_path)
     click.echo(f"wrote {out_path}")
 
 
@@ -339,24 +328,20 @@ def baseline(instance_paths, d, r_star, seed, out):
         except ValueError:
             raise click.UsageError(f"--r-star must look like '1:0.3,2:0.41', got {r_star!r}")
     out_path = _resolve_out(out, "baseline.csv")
-    try:
-        btable = ana.BaselineTable(table) if table else None
-        header = ["instance", "n_vars", "d", "baseline_cost", "c_star", "c_star_method",
-                  "baseline_ratio"] + [f"asymptotic_ratio_p{p}" for p in sorted(table)]
-        rows = []
-        for path in instance_paths:
-            inst, scheme = _load_instance(path, d, allow_padding=False)
-            dec = ana.decomposed_baseline_exact(inst, scheme)
-            record = ground_truth(inst, seed=seed)
-            row = [Path(path).name, inst.n_vars, d, dec, record.best_cost, record.method,
-                   dec / record.best_cost]
-            row += [ana.baseline_ratio(p, inst.n_vars, d, btable) for p in sorted(table)]
-            rows.append(row)
-        runfiles.write_csv(out_path, header, rows)
-    except (ValueError, OSError) as exc:
-        raise RuntimeFailure(str(exc))
-    _emit("baseline", {"instances": list(instance_paths), "d": d, "r_star": r_star},
-          seed, list(instance_paths), out_path)
+    btable = ana.BaselineTable(table) if table else None
+    header = ["instance", "n_vars", "d", "baseline_cost", "c_star", "c_star_method",
+              "baseline_ratio"] + [f"asymptotic_ratio_p{p}" for p in sorted(table)]
+    rows = []
+    for path in instance_paths:
+        inst, scheme = _load_instance(path, d, allow_padding=False)
+        dec = ana.decomposed_baseline_exact(inst, scheme)
+        record = ground_truth(inst, seed=seed)
+        row = [Path(path).name, inst.n_vars, d, dec, record.best_cost, record.method,
+               dec / record.best_cost]
+        row += [ana.baseline_ratio(p, inst.n_vars, d, btable) for p in sorted(table)]
+        rows.append(row)
+    runfiles.write_csv(out_path, header, rows)
+    _emit(list(instance_paths), out_path)
     click.echo(f"wrote {out_path}")
 
 
@@ -383,33 +368,25 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
     if replicas < 2:
         raise click.UsageError("--replicas must be >= 2")
     out_path = _resolve_out(out, "shots.csv")
-    try:
-        inst, scheme = _load_instance(instance_path, d, allow_padding=False)
-        study = ana.shot_noise_study(inst, scheme, layers, counts, replicas=replicas, seed=seed)
-        rows = [
-            [n, err, se, err / abs(study.exact_cost), study.exact_cost]
-            for n, err, se in zip(study.shot_counts, study.mean_abs_error, study.stderr)
-        ]
-        runfiles.write_csv(
-            out_path, ["n_shots", "mean_abs_error", "stderr", "relative_error", "exact_cost"],
-            rows,
-        )
-    except (ValueError, OSError) as exc:
-        raise RuntimeFailure(str(exc))
-    _emit("shots", {"instance": instance_path, "d": d, "params": params,
-                    "shot_counts": shot_counts, "replicas": replicas},
-          seed, [instance_path], out_path)
+    inst, scheme = _load_instance(instance_path, d, allow_padding=False)
+    study = ana.shot_noise_study(inst, scheme, layers, counts, replicas=replicas, seed=seed)
+    rows = [
+        [n, err, se, err / abs(study.exact_cost), study.exact_cost]
+        for n, err, se in zip(study.shot_counts, study.mean_abs_error, study.stderr)
+    ]
+    runfiles.write_csv(
+        out_path, ["n_shots", "mean_abs_error", "stderr", "relative_error", "exact_cost"],
+        rows,
+    )
+    _emit([instance_path], out_path)
     click.echo(f"wrote {out_path} (loglog slope {study.loglog_slope():.3f})")
 
 
 # ---------------------------------------------------------------------------
-def _concentration_worker(args):
-    instance_path, d, params_text, seed = args
-    inst = runfiles.read_instance(instance_path)
-    scheme = make_scheme(inst.n_vars, d)
-    layers = _parse_params(params_text)
+def _concentration_worker(seed, task):
+    inst, scheme, layers = task
     record = ground_truth(inst, seed=seed)
-    trace = run_ansatz(inst, scheme, layers, mode="exact")
+    trace = run_ansatz(inst, scheme, list(layers), mode="exact")
     return trace.final_cost, record.best_cost, record.method
 
 
@@ -435,47 +412,38 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     """
     if p < 1:
         raise click.UsageError("--p must be >= 1")
+    layers = tuple(_parse_params(donor_params)) if donor_params else None
     out_path = _resolve_out(out, "transfer.csv")
-    try:
-        donor_inst = runfiles.read_instance(donor_instance)
-        donor_scheme = make_scheme(donor_inst.n_vars, d)
-        if donor_params:
-            layers = tuple(_parse_params(donor_params))
-            donor_ratio = float("nan")
-        else:
-            record = ground_truth(donor_inst, seed=seed)
-            sched = opt.warm_start_schedule(
-                donor_inst, donor_scheme, p,
-                opt.OptimizerConfig(n_hops=hops, seed=seed), record.best_cost,
-            )
-            layers = sched[p].best_params
-            donor_ratio = sched[p].ratio
-
-        rows = []
-        tasks = []
-        for path in target_paths:
-            target = runfiles.read_instance(path)
-            scaled = opt.transfer_params(
-                layers, (donor_inst.n_vars, d), (target.n_vars, d)
-            )
-            text = ";".join(f"{lp.beta:.17g},{lp.gamma:.17g},{lp.gamma_bias:.17g}" for lp in scaled)
-            tasks.append((path, d, text, seed))
-        results = _pmap(_concentration_worker, tasks, jobs)
-        for path, task, (cost, c_star, method) in zip(target_paths, tasks, results):
-            target_n = runfiles.read_instance(path).n_vars
-            rows.append([Path(path).name, target_n, d, p, cost, c_star, method,
-                         cost / c_star, donor_ratio, task[2]])
-        runfiles.write_csv(
-            out_path,
-            ["instance", "n_vars", "d", "p", "cost", "c_star", "c_star_method", "ratio",
-             "donor_ratio", "params"],
-            rows,
+    donor_inst, donor_scheme = _load_instance(donor_instance, d, allow_padding=False)
+    if layers is not None:
+        donor_ratio = float("nan")
+    else:
+        record = ground_truth(donor_inst, seed=seed)
+        sched = opt.warm_start_schedule(
+            donor_inst, donor_scheme, p,
+            opt.OptimizerConfig(n_hops=hops, seed=seed), record.best_cost,
         )
-    except (ValueError, OSError) as exc:
-        raise RuntimeFailure(str(exc))
-    _emit("transfer", {"donor": donor_instance, "targets": list(target_paths), "d": d, "p": p,
-                       "donor_params": donor_params, "hops": hops, "jobs": jobs},
-          seed, [donor_instance, *target_paths], out_path)
+        layers = sched[p].best_params
+        donor_ratio = sched[p].ratio
+
+    tasks = []
+    for path in target_paths:
+        target, scheme = _load_instance(path, d, allow_padding=False)
+        scaled = opt.transfer_params(layers, (donor_inst.n_vars, d), (target.n_vars, d))
+        tasks.append((target, scheme, scaled))
+    results = _pmap(partial(_concentration_worker, seed), tasks, jobs)
+    rows = [
+        [Path(path).name, target.n_vars, d, p, cost, c_star, method, cost / c_star,
+         donor_ratio, _params_text(scaled)]
+        for path, (target, _, scaled), (cost, c_star, method) in zip(target_paths, tasks, results)
+    ]
+    runfiles.write_csv(
+        out_path,
+        ["instance", "n_vars", "d", "p", "cost", "c_star", "c_star_method", "ratio",
+         "donor_ratio", "params"],
+        rows,
+    )
+    _emit([donor_instance, *target_paths], out_path)
     ratios = [row[7] for row in rows]
     click.echo(f"wrote {out_path} (mean r = {np.mean(ratios):.4f})")
 
@@ -495,17 +463,12 @@ def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
     """Compile one full layer (phase separator + bias + mixer) to native gates
     and verify it against the ideal unitary; prints the max deviation."""
     out_path = _resolve_out(out, "compiled_layer.txt")
-    try:
-        inst = example_instance_n4() if (fixture_n4 or n == 4) else generate_sk(n, "pm1", seed=seed)
-        scheme = make_scheme(n, d)
-        stats = exact_group_stats(scheme, init_plus(scheme.n_qubits))
-        native, deviation = compile_layer(inst, scheme, stats, LayerParams(beta, gamma, gamma_bias))
-        out_path.write_text(dumps(native))
-    except (ValueError, OSError) as exc:
-        raise RuntimeFailure(str(exc))
-    _emit("compile-check", {"n": n, "d": d, "beta": beta, "gamma": gamma,
-                            "gamma_bias": gamma_bias, "fixture_n4": fixture_n4},
-          seed, [], out_path)
+    inst = example_instance_n4() if (fixture_n4 or n == 4) else generate_sk(n, "pm1", seed=seed)
+    scheme = make_scheme(n, d)
+    stats = exact_group_stats(scheme, init_plus(scheme.n_qubits))
+    native, deviation = compile_layer(inst, scheme, stats, LayerParams(beta, gamma, gamma_bias))
+    out_path.write_text(dumps(native))
+    _emit([], out_path)
     counts = native.gate_counts()
     click.echo(
         f"max_deviation {'<' if deviation < 1e-9 else '>='} 1e-9 "

@@ -46,13 +46,6 @@ class EncodingScheme:
             raise IndexError(f"variable index {i} out of range [0, {self.n_vars})")
         return i % self.group_size
 
-    def group_variables(self, label: int) -> range:
-        """Variable indices owned by a group label."""
-        if not 0 <= label < self.n_groups:
-            raise IndexError(f"label {label} out of range [0, {self.n_groups})")
-        d = self.group_size
-        return range(d * label, d * (label + 1))
-
 
 def make_scheme(n_vars: int, group_size: int, allow_padding: bool = False) -> EncodingScheme:
     """Build a scheme for N variables in groups of d.

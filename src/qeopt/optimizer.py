@@ -2,7 +2,8 @@
 
 The search is a basin-hopping loop: Gaussian perturbation of the incumbent
 (wrapped into the parameter box), Nelder-Mead local refinement, accept
-on improvement. The box is beta in [0, pi), gamma and gamma' in [-pi, pi).
+on improvement. The box is ``BOUNDS``: beta in [0, pi), gamma and gamma'
+in [-pi, pi); Nelder-Mead stops at tolerance ``LOCAL_TOL``.
 Optimal gamma coefficients shrink like d/N^(3/2), which both sets the hop
 scale for gamma and gives the rescaling rule for reusing parameters across
 problem sizes.
@@ -10,6 +11,7 @@ problem sizes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,21 +24,21 @@ from qeopt.problem import OptimumRecord, SKInstance, approximation_ratio, ground
 from qeopt.rng import stream
 
 
+# (beta, gamma, gamma') box of every layer; each angle wraps with the box width
+BOUNDS = ((0.0, math.pi), (-math.pi, math.pi), (-math.pi, math.pi))
+LOCAL_TOL = 1e-6  # Nelder-Mead fatol and xatol
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     n_hops: int = 20
-    hop_scale: float = 1.0
-    local_tol: float = 1e-6
     max_local_evals: int = 200
-    beta_bounds: tuple[float, float] = (0.0, math.pi)
-    gamma_bounds: tuple[float, float] = (-math.pi, math.pi)
-    gamma_bias_bounds: tuple[float, float] = (-math.pi, math.pi)
     freeze_gamma_bias: bool = False
     initial: tuple[LayerParams, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_hops < 0 or self.max_local_evals < 1 or self.local_tol <= 0:
+        if self.n_hops < 0 or self.max_local_evals < 1:
             raise ValueError("optimizer budgets must be positive")
 
 
@@ -57,7 +59,12 @@ def gamma_scale_hint(scheme: EncodingScheme) -> float:
 
 
 class _CostFunction:
-    """Flattened-parameter view of the exact-mode ansatz cost."""
+    """Flattened-parameter view of the exact-mode ansatz cost.
+
+    The layers form a (p, 3) array of (beta, gamma, gamma') rows; the search
+    sees its first ``width`` columns row by row, so a frozen gamma' (width 2)
+    stays at the initial guess, or 0.
+    """
 
     def __init__(self, instance, scheme, p, config):
         self.instance = instance
@@ -67,48 +74,34 @@ class _CostFunction:
         self.eval_count = 0
         self.best_x: np.ndarray | None = None
         self.best_cost = math.inf
-        self.frozen_bias = config.freeze_gamma_bias
-        self.n_params = (2 if self.frozen_bias else 3) * p
-        self.bias_values = np.zeros(p)
+        self.width = 2 if config.freeze_gamma_bias else 3
+        self.n_params = self.width * p
+        self.layers = np.zeros((p, 3))
         if config.initial is not None:
-            self.bias_values = np.array([lp.gamma_bias for lp in config.initial])
+            self.layers[:, 2] = [lp.gamma_bias for lp in config.initial]
+        self.lows = np.array([lo for lo, _ in BOUNDS[: self.width]])
+        self.highs = np.array([hi for _, hi in BOUNDS[: self.width]])
 
     def pack(self, params: list[LayerParams]) -> np.ndarray:
-        if self.frozen_bias:
-            return np.array([v for lp in params for v in (lp.beta, lp.gamma)])
-        return np.array([v for lp in params for v in (lp.beta, lp.gamma, lp.gamma_bias)])
+        rows = np.array([(lp.beta, lp.gamma, lp.gamma_bias) for lp in params])
+        return rows[:, : self.width].ravel()
 
     def unpack(self, x: np.ndarray) -> list[LayerParams]:
-        layers = []
-        if self.frozen_bias:
-            for k in range(self.p):
-                layers.append(LayerParams(x[2 * k], x[2 * k + 1], self.bias_values[k]))
-        else:
-            for k in range(self.p):
-                layers.append(LayerParams(x[3 * k], x[3 * k + 1], x[3 * k + 2]))
-        return layers
+        layers = self.layers.copy()
+        layers[:, : self.width] = np.reshape(x, (self.p, self.width))
+        return [LayerParams(*row) for row in layers]
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Map parameters back into the box using their periodicity."""
-        x = np.array(x, dtype=np.float64)
-        stride = 2 if self.frozen_bias else 3
-        x[0::stride] = np.mod(x[0::stride], math.pi)
-        for off in range(1, stride):
-            x[off::stride] = np.mod(x[off::stride] + math.pi, 2 * math.pi) - math.pi
-        return x
+        x = np.reshape(x, (self.p, self.width))
+        return (self.lows + np.mod(x - self.lows, self.highs - self.lows)).ravel()
 
     def bounds_list(self) -> list[tuple[float, float]]:
-        c = self.config
-        per_layer = [c.beta_bounds, c.gamma_bounds]
-        if not self.frozen_bias:
-            per_layer.append(c.gamma_bias_bounds)
-        return per_layer * self.p
+        return list(BOUNDS[: self.width]) * self.p
 
     def hop_scales(self) -> np.ndarray:
-        angle = 0.3 * self.config.hop_scale
-        gamma = self.config.hop_scale * max(0.5 * gamma_scale_hint(self.scheme), 1e-3)
-        per_layer = [angle, gamma] if self.frozen_bias else [angle, gamma, angle]
-        return np.array(per_layer * self.p)
+        gamma = max(0.5 * gamma_scale_hint(self.scheme), 1e-3)
+        return np.tile((0.3, gamma, 0.3)[: self.width], self.p)
 
     def __call__(self, x: np.ndarray) -> float:
         self.eval_count += 1
@@ -121,35 +114,35 @@ class _CostFunction:
 
 
 def _local_refine(fn: _CostFunction, x0: np.ndarray) -> None:
-    cfg = fn.config
-    budget = cfg.max_local_evals
-    bounds = fn.bounds_list()
-    x0 = np.clip(x0, [lo for lo, _ in bounds], [hi for _, hi in bounds])
     sciopt.minimize(
         fn,
-        x0,
+        np.clip(x0, np.tile(fn.lows, fn.p), np.tile(fn.highs, fn.p)),
         method="Nelder-Mead",
-        bounds=bounds,
-        options={"maxfev": budget, "fatol": cfg.local_tol, "xatol": cfg.local_tol},
+        bounds=fn.bounds_list(),
+        options={"maxfev": fn.config.max_local_evals, "fatol": LOCAL_TOL, "xatol": LOCAL_TOL},
     )
 
 
+def _grid_argmin(cost, betas, gammas, biases) -> LayerParams:
+    """First layer of the (beta, gamma, gamma') grid, in that nesting order,
+    with the lowest ``cost(layer)``."""
+    best_layer, best_cost = LayerParams(0.0, 0.0, 0.0), math.inf
+    for beta, gamma, bias in itertools.product(betas, gammas, biases):
+        layer = LayerParams(beta, gamma, bias)
+        value = cost(layer)
+        if value < best_cost:
+            best_cost, best_layer = value, layer
+    return best_layer
+
+
 def _presearch(fn: _CostFunction) -> np.ndarray:
-    """Coarse deterministic grid to seed the first local search."""
+    """Coarse deterministic grid of repeated layers to seed the first local search."""
     hint = gamma_scale_hint(fn.scheme)
     betas = np.concatenate([[0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
     gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, -0.25, 0.25, 0.5, 1, 2])])
-    biases = [0.0] if fn.frozen_bias else [-0.8, -0.4, 0.0, 0.4, 0.8]
-    best_x, best_cost = None, math.inf
-    for beta in betas:
-        for gamma in gammas:
-            for bias in biases:
-                layer = LayerParams(beta, gamma, bias)
-                x = fn.pack([layer] * fn.p)
-                cost = fn(x)
-                if cost < best_cost:
-                    best_cost, best_x = cost, x
-    return best_x
+    biases = [0.0] if fn.width == 2 else [-0.8, -0.4, 0.0, 0.4, 0.8]
+    best = _grid_argmin(lambda layer: fn(fn.pack([layer] * fn.p)), betas, gammas, biases)
+    return fn.pack([best] * fn.p)
 
 
 def optimize(
@@ -163,13 +156,13 @@ def optimize(
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     config = config or OptimizerConfig()
+    if config.initial is not None and len(config.initial) != p:
+        raise ValueError(f"initial guess has {len(config.initial)} layers, need {p}")
     if c_star is None:
         c_star = ground_truth(instance, seed=config.seed).best_cost
     fn = _CostFunction(instance, scheme, p, config)
 
     if config.initial is not None:
-        if len(config.initial) != p:
-            raise ValueError(f"initial guess has {len(config.initial)} layers, need {p}")
         x_raw = fn.pack(list(config.initial))
         fn(x_raw)  # pin the warm-start cost so the result can never be worse
         x0 = fn.wrap(x_raw)
@@ -177,22 +170,19 @@ def optimize(
         x0 = _presearch(fn)
 
     rng = stream(config.seed, "hops")
-    history = []
-    if config.max_local_evals > 1 and config.n_hops >= 0:
+    if config.max_local_evals > 1:
         _local_refine(fn, x0)
-    history.append(fn.best_cost)
+    history = [fn.best_cost]
     scales = fn.hop_scales()
     for _ in range(config.n_hops):
-        start = fn.best_x if fn.best_x is not None else x0
-        candidate = fn.wrap(start + scales * rng.standard_normal(fn.n_params))
+        candidate = fn.wrap(fn.best_x + scales * rng.standard_normal(fn.n_params))
         before = fn.best_cost
         _local_refine(fn, candidate)
         if fn.best_cost < before:
             history.append(fn.best_cost)
 
-    best_params = tuple(fn.unpack(fn.best_x))
     return OptimResult(
-        best_params=best_params,
+        best_params=tuple(fn.unpack(fn.best_x)),
         best_cost=fn.best_cost,
         ratio=approximation_ratio(fn.best_cost, c_star),
         eval_count=fn.eval_count,
@@ -216,15 +206,11 @@ def _best_appended_layer(
     betas = np.concatenate([[0.0, 0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
     gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, 0.5, 1, 2])])
     biases = [0.0] if config.freeze_gamma_bias else [-0.4, 0.0, 0.4]
-    best_layer, best_cost = LayerParams(0.0, 0.0, 0.0), math.inf
-    for beta in betas:
-        for gamma in gammas:
-            for bias in biases:
-                layer = LayerParams(beta, gamma, bias)
-                cost = run_ansatz(instance, scheme, list(prev) + [layer], mode="exact").final_cost
-                if cost < best_cost:
-                    best_cost, best_layer = cost, layer
-    return best_layer
+
+    def cost(layer: LayerParams) -> float:
+        return run_ansatz(instance, scheme, list(prev) + [layer], mode="exact").final_cost
+
+    return _grid_argmin(cost, betas, gammas, biases)
 
 
 def warm_start_schedule(

@@ -2,8 +2,8 @@
 
 The cost is C(z) = sum_{i<j} w_ij z_i z_j with z_i in {+1, -1}. Weights are
 drawn either uniformly from {+1, -1} or i.i.d. standard normal. Exact optima
-come from brute-force enumeration (N <= 24 by default); larger sizes use an
-in-repo multi-start tabu descent.
+come from brute-force enumeration (N <= BRUTE_FORCE_CAP = 24); larger sizes
+use an in-repo multi-start tabu descent.
 """
 
 from __future__ import annotations
@@ -113,15 +113,15 @@ def approximation_ratio(c: float, c_star: float) -> float:
     return c / c_star
 
 
-def brute_force_optimum(instance: SKInstance, cap: int = BRUTE_FORCE_CAP) -> OptimumRecord:
+def brute_force_optimum(instance: SKInstance) -> OptimumRecord:
     """Exact C* and the complete minimizer set by enumeration.
 
     Exploits the global flip symmetry: only strings with z_0 = +1 are
     enumerated and each minimizer contributes its negation as well.
     """
     n = instance.n_vars
-    if n > cap:
-        raise ValueError(f"brute force capped at N={cap}, got N={n}")
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at N={BRUTE_FORCE_CAP}, got N={n}")
 
     w = instance.weights
     best = np.inf

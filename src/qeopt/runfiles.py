@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 import qeopt
-from qeopt.problem import SKInstance
+from qeopt.problem import WEIGHT_KINDS, SKInstance
 
 INSTANCE_HEADER = "# qeopt instance v1"
 
@@ -41,26 +41,37 @@ def read_instance(path: str | Path) -> SKInstance:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != INSTANCE_HEADER:
         raise ValueError(f"{path}: not a qeopt instance file")
-    fields = {}
-    idx = 1
-    for key in ("n_vars", "weight_kind", "seed", "n_weights"):
+    keys = ("n_vars", "weight_kind", "seed", "n_weights")
+    if len(lines) <= len(keys):
+        raise ValueError(f"{path}: truncated header, expected {', '.join(keys)}")
+    header = {}
+    for idx, key in enumerate(keys, start=1):
         name, _, value = lines[idx].partition(" ")
         if name != key:
             raise ValueError(f"{path}: expected '{key}' on line {idx + 1}, got {name!r}")
-        fields[key] = value
-        idx += 1
-    n = int(fields["n_vars"])
-    n_weights = int(fields["n_weights"])
+        header[key] = value
+    if header["weight_kind"] not in WEIGHT_KINDS:
+        raise ValueError(f"{path}: weight_kind must be one of {WEIGHT_KINDS}, "
+                         f"got {header['weight_kind']!r}")
+    n = int(header["n_vars"])
+    n_weights = int(header["n_weights"])
+    body = lines[len(keys) + 1:]
+    if len(body) != n_weights:
+        raise ValueError(f"{path}: expected {n_weights} weight lines, got {len(body)}")
     w = np.zeros((n, n))
-    for line in lines[idx : idx + n_weights]:
-        si, sj, sw = line.split()
-        i, j = int(si), int(sj)
+    seen = set()
+    for line in body:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}: bad weight line {line!r}")
+        i, j = int(parts[0]), int(parts[1])
         if not 0 <= i < j < n:
             raise ValueError(f"{path}: bad weight pair ({i}, {j})")
-        w[i, j] = float(sw)
-    if len(lines[idx:]) != n_weights:
-        raise ValueError(f"{path}: expected {n_weights} weight lines, got {len(lines[idx:])}")
-    return SKInstance(n_vars=n, weights=w, weight_kind=fields["weight_kind"], seed=int(fields["seed"]))
+        if (i, j) in seen:
+            raise ValueError(f"{path}: repeated weight pair ({i}, {j})")
+        seen.add((i, j))
+        w[i, j] = float(parts[2])
+    return SKInstance(n_vars=n, weights=w, weight_kind=header["weight_kind"], seed=int(header["seed"]))
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,10 @@ def write_manifest(manifest: RunManifest, out_path: str | Path) -> Path:
 
 def read_manifest(path: str | Path) -> RunManifest:
     data = json.loads(Path(path).read_text())
+    keys = [f.name for f in fields(RunManifest)]
+    if not isinstance(data, dict) or sorted(data) != sorted(keys):
+        found = sorted(data) if isinstance(data, dict) else type(data).__name__
+        raise ValueError(f"{path}: a manifest needs exactly the keys {keys}, got {found}")
     return RunManifest(**data)
 
 

@@ -131,9 +131,9 @@ class Statevector:
         self.amps *= np.exp(1j * gamma * entries)
         return self
 
-    def apply_mixer(self, beta: float, qubits: list[int] | None = None) -> "Statevector":
-        """exp(i beta sum X_i) over the given qubits (default: all)."""
-        for qubit in range(self.n_qubits) if qubits is None else qubits:
+    def apply_mixer(self, beta: float) -> "Statevector":
+        """exp(i beta sum X_i) over all qubits."""
+        for qubit in range(self.n_qubits):
             self.apply_rx(qubit, -2.0 * beta)
         return self
 

@@ -1,4 +1,5 @@
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,21 @@ class TestInstanceFiles:
         path.write_text("hello\n")
         with pytest.raises(ValueError, match="not a qeopt instance"):
             read_instance(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:1], "truncated"),
+        (lambda lines: lines[:3], "truncated"),
+        (lambda lines: lines[:-1], "expected 6 weight lines, got 5"),
+        (lambda lines: [l.replace("pm1", "uniform") for l in lines], "weight_kind"),
+        (lambda lines: lines[:-1] + [lines[-2]], "repeated weight pair"),
+        (lambda lines: lines[:-1] + ["2 3"], "bad weight line"),
+    ], ids=["header-only", "half-header", "missing-weight", "unknown-kind", "repeated-pair",
+            "short-weight-line"])
+    def test_rejects_malformed_file(self, fixture_file, edit, message):
+        lines = edit(fixture_file.read_text().splitlines())
+        fixture_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_instance(fixture_file)
 
 
 class TestGenerate:
@@ -236,6 +252,13 @@ class TestEntropyCmd:
         ])
         assert result.exit_code == 2
 
+    def test_zero_d_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "entropy", "--n", "1024", "--d-list", "2,0", "--out", str(tmp_path / "e.csv"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "d=0" in result.output
+
 
 class TestBaselineCmd:
     def test_fixture_row(self, runner, fixture_file, tmp_path):
@@ -264,6 +287,18 @@ class TestBaselineCmd:
 
 
 class TestShotsCmd:
+    @pytest.mark.parametrize("params", ["a,b,c", "nan,0,0", "0,inf,0", "0.1,0.2", ""])
+    def test_bad_params_exit_2(self, runner, fixture_file, tmp_path, params):
+        out = tmp_path / "shots.csv"
+        result = runner.invoke(main, [
+            "shots", "--instance", str(fixture_file), "--d", "2", "--params", params,
+            "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "finite numbers" in result.output
+        assert not out.exists()
+
     def test_emits_error_columns(self, runner, fixture_file, tmp_path):
         out = tmp_path / "shots.csv"
         result = runner.invoke(main, [
@@ -321,9 +356,38 @@ class TestTransferCmd:
         ratios = [float(l.split(",")[7]) for l in lines[1:]]
         assert all(r <= 1.0 + 1e-9 for r in ratios)
 
+    def test_bad_donor_params_exit_2(self, runner, fixture_file, tmp_path):
+        result = runner.invoke(main, [
+            "transfer", "--donor-instance", str(fixture_file), "--target-instance",
+            str(fixture_file), "--d", "2", "--p", "1", "--donor-params", "x,0,0",
+            "--out", str(tmp_path / "t.csv"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "finite numbers" in result.output
+
+    def test_parallel_jobs_identical_output(self, runner, tmp_path):
+        donor = tmp_path / "donor.txt"
+        write_instance(generate_sk(16, "pm1", seed=1), donor)
+        args = ["transfer", "--donor-instance", str(donor), "--d", "4", "--p", "2",
+                "--hops", "1"]
+        for k, n in enumerate((16, 16, 32)):
+            path = tmp_path / f"t{k}.txt"
+            write_instance(generate_sk(n, "gaussian", seed=10 + k), path)
+            args += ["--target-instance", str(path)]
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"trans_j{jobs}.csv"
+            result = runner.invoke(main, args + ["--jobs", jobs, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 # command -> (argv given the instance file and the output path, written file)
 RERUN_CASES = {
+    "solve": lambda inst, out: (
+        ["solve", "--instance", inst, "--d", "2", "--p", "2", "--hops", "1", "--local-evals", "30",
+         "--allow-padding", "--out", out], out),
     "landscape-shots": lambda inst, out: (
         ["landscape", "--instance", inst, "--d", "2", "--beta-steps", "3", "--gamma-steps", "3",
          "--mode", "shots", "--shots", "200", "--seed", "4", "--out", out], out),
@@ -357,6 +421,68 @@ def test_rerun_reproduces_byte_for_byte(runner, fixture_file, tmp_path, case):
     result = runner.invoke(main, ["rerun", "--manifest", f"{written}.manifest.json"])
     assert result.exit_code == 0, result.output
     assert written.read_bytes() == first
+
+
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_manifest_config_is_the_parsed_flags(runner, fixture_file, tmp_path, case):
+    argv, written = RERUN_CASES[case](str(fixture_file), str(tmp_path / "out"))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    manifest = read_manifest(f"{written}.manifest.json")
+    command = main.commands[argv[0]]
+    params = command.make_context(argv[0], argv[1:]).params
+    assert manifest.command == argv[0]
+    assert manifest.seed == params.pop("seed")
+    params.pop("out")
+    assert manifest.config == json.loads(json.dumps(params))
+
+
+@pytest.mark.parametrize("case", sorted(RERUN_CASES))
+def test_out_under_a_file_exits_3(runner, fixture_file, tmp_path, case):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv, _ = RERUN_CASES[case](str(fixture_file), str(blocker / "out"))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ")
+
+
+def one_error_line(result) -> bool:
+    lines = result.output.splitlines()
+    return isinstance(result.exception, SystemExit) and [
+        l for l in lines if l.startswith("Error:")] == lines[-1:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:1],
+    lambda lines: [l.replace("pm1", "uniform") for l in lines],
+    lambda lines: lines[:-1] + [lines[-2]],
+], ids=["header-only", "unknown-kind", "repeated-pair"])
+def test_malformed_instance_exits_3(runner, fixture_file, tmp_path, edit):
+    fixture_file.write_text("\n".join(edit(fixture_file.read_text().splitlines())) + "\n")
+    out = tmp_path / "base.csv"
+    result = runner.invoke(main, ["baseline", "--instance", str(fixture_file), "--d", "2",
+                                  "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert one_error_line(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: {k: v for k, v in data.items() if k != "argv"},
+    lambda data: {**data, "extra": 1},
+    lambda data: [data],
+], ids=["missing-key", "unknown-key", "not-an-object"])
+def test_malformed_manifest_exits_3(runner, fixture_file, tmp_path, edit):
+    out = tmp_path / "base.csv"
+    assert runner.invoke(main, ["baseline", "--instance", str(fixture_file), "--d", "2",
+                                "--out", str(out)]).exit_code == 0
+    manifest = Path(f"{out}.manifest.json")
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    result = runner.invoke(main, ["rerun", "--manifest", str(manifest)])
+    assert result.exit_code == 3, result.output
+    assert one_error_line(result)
 
 
 def test_help_lists_commands(runner):

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize as sciopt
 
-from qeopt.ansatz import LayerParams
+from qeopt import optimizer
+from qeopt.ansatz import LayerParams, run_ansatz
 from qeopt.encoding import make_scheme
 from qeopt.optimizer import (
     ConcentrationResult,
@@ -19,6 +22,7 @@ from qeopt.optimizer import (
     warm_start_schedule,
 )
 from qeopt.problem import generate_sk
+from qeopt.rng import stream
 
 
 class TestOptimize:
@@ -158,9 +162,203 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(n_hops=-1)
         with pytest.raises(ValueError):
-            OptimizerConfig(local_tol=0.0)
+            OptimizerConfig(max_local_evals=0)
 
     def test_initial_length_checked(self, n4_instance, n4_scheme):
         config = OptimizerConfig(initial=(LayerParams(0, 0, 0),))
         with pytest.raises(ValueError, match="layers"):
             optimize(n4_instance, n4_scheme, 2, config, c_star=-4.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the stride-based parameter layout, grid loops and search
+# loop that the (p, 3) layout replaced, with the box, tolerance and hop scale
+# spelled out as they were.
+class _StrideCostFunction:
+    def __init__(self, instance, scheme, p, config):
+        self.instance, self.scheme, self.p, self.config = instance, scheme, p, config
+        self.eval_count = 0
+        self.best_x = None
+        self.best_cost = math.inf
+        self.frozen_bias = config.freeze_gamma_bias
+        self.n_params = (2 if self.frozen_bias else 3) * p
+        self.bias_values = np.zeros(p)
+        if config.initial is not None:
+            self.bias_values = np.array([lp.gamma_bias for lp in config.initial])
+
+    def pack(self, params):
+        if self.frozen_bias:
+            return np.array([v for lp in params for v in (lp.beta, lp.gamma)])
+        return np.array([v for lp in params for v in (lp.beta, lp.gamma, lp.gamma_bias)])
+
+    def unpack(self, x):
+        if self.frozen_bias:
+            return [LayerParams(x[2 * k], x[2 * k + 1], self.bias_values[k]) for k in range(self.p)]
+        return [LayerParams(x[3 * k], x[3 * k + 1], x[3 * k + 2]) for k in range(self.p)]
+
+    def wrap(self, x):
+        x = np.array(x, dtype=np.float64)
+        stride = 2 if self.frozen_bias else 3
+        x[0::stride] = np.mod(x[0::stride], math.pi)
+        for off in range(1, stride):
+            x[off::stride] = np.mod(x[off::stride] + math.pi, 2 * math.pi) - math.pi
+        return x
+
+    def bounds_list(self):
+        per_layer = [(0.0, math.pi), (-math.pi, math.pi)]
+        if not self.frozen_bias:
+            per_layer.append((-math.pi, math.pi))
+        return per_layer * self.p
+
+    def hop_scales(self):
+        hop_scale = 1.0
+        angle = 0.3 * hop_scale
+        gamma = hop_scale * max(0.5 * gamma_scale_hint(self.scheme), 1e-3)
+        per_layer = [angle, gamma] if self.frozen_bias else [angle, gamma, angle]
+        return np.array(per_layer * self.p)
+
+    def __call__(self, x):
+        self.eval_count += 1
+        cost = run_ansatz(self.instance, self.scheme, self.unpack(np.asarray(x)), mode="exact").final_cost
+        if cost < self.best_cost:
+            self.best_cost = cost
+            self.best_x = np.array(x, dtype=np.float64)
+        return cost
+
+
+def _stride_presearch(fn):
+    hint = gamma_scale_hint(fn.scheme)
+    betas = np.concatenate([[0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
+    gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, -0.25, 0.25, 0.5, 1, 2])])
+    biases = [0.0] if fn.frozen_bias else [-0.8, -0.4, 0.0, 0.4, 0.8]
+    best_x, best_cost = None, math.inf
+    for beta in betas:
+        for gamma in gammas:
+            for bias in biases:
+                x = fn.pack([LayerParams(beta, gamma, bias)] * fn.p)
+                cost = fn(x)
+                if cost < best_cost:
+                    best_cost, best_x = cost, x
+    return best_x
+
+
+def _loop_appended_layer(instance, scheme, prev, config):
+    hint = gamma_scale_hint(scheme)
+    betas = np.concatenate([[0.0, 0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
+    gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, 0.5, 1, 2])])
+    biases = [0.0] if config.freeze_gamma_bias else [-0.4, 0.0, 0.4]
+    best_layer, best_cost = LayerParams(0.0, 0.0, 0.0), math.inf
+    for beta in betas:
+        for gamma in gammas:
+            for bias in biases:
+                layer = LayerParams(beta, gamma, bias)
+                cost = run_ansatz(instance, scheme, list(prev) + [layer], mode="exact").final_cost
+                if cost < best_cost:
+                    best_cost, best_layer = cost, layer
+    return best_layer
+
+
+def _stride_optimize(instance, scheme, p, config):
+    fn = _StrideCostFunction(instance, scheme, p, config)
+    if config.initial is not None:
+        x_raw = fn.pack(list(config.initial))
+        fn(x_raw)
+        x0 = fn.wrap(x_raw)
+    else:
+        x0 = _stride_presearch(fn)
+
+    def refine(x):
+        bounds = fn.bounds_list()
+        x = np.clip(x, [lo for lo, _ in bounds], [hi for _, hi in bounds])
+        sciopt.minimize(fn, x, method="Nelder-Mead", bounds=bounds,
+                        options={"maxfev": config.max_local_evals, "fatol": 1e-6, "xatol": 1e-6})
+
+    rng = stream(config.seed, "hops")
+    history = []
+    if config.max_local_evals > 1:
+        refine(x0)
+    history.append(fn.best_cost)
+    scales = fn.hop_scales()
+    for _ in range(config.n_hops):
+        candidate = fn.wrap(fn.best_x + scales * rng.standard_normal(fn.n_params))
+        before = fn.best_cost
+        refine(candidate)
+        if fn.best_cost < before:
+            history.append(fn.best_cost)
+    return tuple(fn.unpack(fn.best_x)), fn.best_cost, fn.eval_count, tuple(history)
+
+
+def _stride_warm_start(instance, scheme, p_max, config):
+    results = {}
+    for p in range(1, p_max + 1):
+        if p > 1:
+            prev = results[p - 1][0]
+            config = replace(config, initial=prev + (_loop_appended_layer(instance, scheme, prev, config),))
+        results[p] = _stride_optimize(instance, scheme, p, config)
+    return results
+
+
+def as_array(layers):
+    return np.array([(lp.beta, lp.gamma, lp.gamma_bias) for lp in layers])
+
+
+def assert_same_result(new, old):
+    params, cost, evals, history = old
+    assert np.array_equal(as_array(new.best_params), as_array(params))
+    assert new.best_cost == cost
+    assert new.eval_count == evals
+    assert np.array_equal(new.history, history)
+
+
+class TestAgreementWithStrideLayout:
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_layout_helpers(self, p, frozen):
+        scheme = make_scheme(16, 4)
+        inst = generate_sk(16, "pm1", seed=2)
+        rng = np.random.default_rng(10 * p + frozen)
+        initial = tuple(LayerParams(*v) for v in rng.uniform(-1, 1, (p, 3)))
+        for config in (OptimizerConfig(freeze_gamma_bias=frozen),
+                       OptimizerConfig(freeze_gamma_bias=frozen, initial=initial)):
+            new = optimizer._CostFunction(inst, scheme, p, config)
+            old = _StrideCostFunction(inst, scheme, p, config)
+            assert new.n_params == old.n_params
+            layers = [LayerParams(*v) for v in rng.uniform(-4, 4, (p, 3))]
+            assert np.array_equal(new.pack(layers), old.pack(layers))
+            x = rng.uniform(-20, 20, old.n_params)
+            x[::2] = np.round(x[::2])  # hit the wrap boundaries too
+            assert np.array_equal(as_array(new.unpack(x)), as_array(old.unpack(x)))
+            assert np.array_equal(new.wrap(x), old.wrap(x))
+            assert new.bounds_list() == old.bounds_list()
+            assert np.array_equal(new.hop_scales(), old.hop_scales())
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_grid_searches(self, n4_instance, n4_scheme, p, frozen):
+        config = OptimizerConfig(freeze_gamma_bias=frozen)
+        new = optimizer._CostFunction(n4_instance, n4_scheme, p, config)
+        old = _StrideCostFunction(n4_instance, n4_scheme, p, config)
+        assert np.array_equal(optimizer._presearch(new), _stride_presearch(old))
+        assert (new.eval_count, new.best_cost) == (old.eval_count, old.best_cost)
+        assert np.array_equal(new.best_x, old.best_x)
+        prev = tuple(LayerParams(0.3 * k, 0.2, -0.1 * k) for k in range(1, p))
+        assert (optimizer._best_appended_layer(n4_instance, n4_scheme, prev, config)
+                == _loop_appended_layer(n4_instance, n4_scheme, prev, config))
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_optimize(self, n4_instance, n4_scheme, p, frozen):
+        config = OptimizerConfig(n_hops=3, max_local_evals=40, freeze_gamma_bias=frozen, seed=p)
+        assert_same_result(optimize(n4_instance, n4_scheme, p, config, c_star=-4.0),
+                           _stride_optimize(n4_instance, n4_scheme, p, config))
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    def test_warm_start_schedule(self, frozen):
+        scheme = make_scheme(16, 4)
+        inst = generate_sk(16, "gaussian", seed=5)
+        config = OptimizerConfig(n_hops=2, max_local_evals=40, freeze_gamma_bias=frozen, seed=4)
+        new = warm_start_schedule(inst, scheme, 3, config, c_star=-30.0)
+        old = _stride_warm_start(inst, scheme, 3, config)
+        assert sorted(new) == sorted(old) == [1, 2, 3]
+        for p in new:
+            assert_same_result(new[p], old[p])
