@@ -179,7 +179,7 @@ def shot_noise_study(
         abs_errors = []
         for rep in range(replicas):
             counts = state.sample(n_shots, seed=seed, key=("shot-noise", n_shots, rep))
-            stats = shot_group_stats(scheme, counts, n_shots)
+            stats = shot_group_stats(scheme, counts)
             estimate = estimate_cost(instance, scheme, stats).total
             abs_errors.append(abs(estimate - exact))
         abs_errors = np.array(abs_errors)

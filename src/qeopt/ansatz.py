@@ -27,6 +27,7 @@ from qeopt.estimator import (
     shot_group_stats,
 )
 from qeopt.problem import SKInstance
+from qeopt.problem import cost as classical_cost
 from qeopt.rng import stream
 from qeopt.simulator import DiagonalOperator, Statevector, init_plus
 
@@ -57,8 +58,7 @@ class AnsatzTrace:
     layer_stats: list[GroupStats]
     layer_costs: list[CostBreakdown]
     final_state: Statevector | None = None
-    final_counts: dict[int, int] | None = None
-    n_shots: int | None = None
+    final_counts: np.ndarray | None = None  # (2**q,) shot counts of the last layer
 
     @property
     def final_cost(self) -> float:
@@ -117,7 +117,7 @@ def run_ansatz(
             apply_layer(state, hamiltonian, params[k - 1])
         if shots:
             counts = state.sample(n_shots, seed=seed, key=("ansatz-layer", k))
-            stats = shot_group_stats(scheme, counts, n_shots)
+            stats = shot_group_stats(scheme, counts)
         else:
             stats = exact_group_stats(scheme, state)
         layer_stats.append(stats)
@@ -131,7 +131,6 @@ def run_ansatz(
         layer_costs=layer_costs,
         final_state=None if shots else state,
         final_counts=counts,
-        n_shots=n_shots if shots else None,
     )
 
 
@@ -169,28 +168,23 @@ def _point_seed(seed: int, bi: int, gi: int) -> int:
     return (seed * 1_000_003 + bi * 1009 + gi) & 0x7FFFFFFF
 
 
-def extract_solution(trace: AnsatzTrace, scheme: EncodingScheme, seed: int = 0) -> tuple[np.ndarray, float]:
+def extract_solution(trace: AnsatzTrace, seed: int = 0) -> tuple[np.ndarray, float]:
     """Round the final state to a spin string.
 
     Candidate A takes sign(zbar_i), ties broken by a seeded coin. Candidate B
-    takes the modal data pattern per label from the final distribution. The
-    candidate with the lower classical cost wins.
+    takes the modal data pattern per label from the final probabilities
+    (exact) or the last layer's shot counts (shots). The candidate with the
+    lower classical cost wins.
     """
-    from qeopt.problem import cost as classical_cost
-
     rng = stream(seed, "rounding")
+    scheme = trace.scheme
     stats = trace.layer_stats[-1]
     coin = rng.integers(0, 2, size=scheme.n_vars) * 2 - 1
     cand_a = np.where(stats.zbar > 0, 1, np.where(stats.zbar < 0, -1, coin)).astype(np.int8)
 
     d = scheme.group_size
-    if trace.mode == "exact":
-        grouped = trace.final_state.probabilities().reshape(scheme.n_groups, 1 << d)
-    else:
-        freq = np.zeros(scheme.dim)
-        for index, count in trace.final_counts.items():
-            freq[index] = count
-        grouped = freq.reshape(scheme.n_groups, 1 << d)
+    final = trace.final_state.probabilities() if trace.mode == "exact" else trace.final_counts
+    grouped = final.reshape(scheme.n_groups, 1 << d)
     spins = basis_spin_table(d)
     cand_b = np.empty(scheme.n_vars, dtype=np.int8)
     for label in range(scheme.n_groups):

@@ -23,7 +23,8 @@ from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
 from qeopt.compiler import compile_layer, dumps
 from qeopt.encoding import make_scheme
 from qeopt.estimator import exact_group_stats
-from qeopt.problem import example_instance_n4, generate_sk, ground_truth, pad_instance
+from qeopt.problem import (approximation_ratio, example_instance_n4, generate_sk, ground_truth,
+                           pad_instance)
 from qeopt.rng import stream
 from qeopt.simulator import init_plus
 
@@ -178,9 +179,10 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
           warm_start, allow_padding, out):
     """Optimize the ansatz on one instance and write a result row.
 
-    CSV columns: instance, n_vars, d, p, mode, shots, seed, cost, c_star,
-    c_star_method, ratio, eval_count, rounded_cost, rounded_ratio, params
-    (semicolon-joined beta,gamma,gamma_bias triples), solution (+-1 string).
+    CSV columns: instance, n_vars, d, p, mode, shots (0 in exact mode), seed,
+    cost, c_star, c_star_method, ratio, eval_count, rounded_cost,
+    rounded_ratio, params (semicolon-joined beta,gamma,gamma_bias triples),
+    solution (+-1 string).
     """
     problems = []
     if p < 1:
@@ -204,14 +206,14 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         result = opt.optimize(inst, scheme, p, config, record.best_cost)
     trace = run_ansatz(inst, scheme, list(result.best_params), mode=mode,
                        n_shots=shots, seed=seed)
-    solution, rounded_cost = extract_solution(trace, scheme, seed=seed)
-    ratio = trace.final_cost / record.best_cost
+    solution, rounded_cost = extract_solution(trace, seed=seed)
+    ratio = approximation_ratio(trace.final_cost, record.best_cost)
     n_raw = scheme.n_vars_raw or scheme.n_vars
     solution = solution[:n_raw]
     row = [
-        Path(instance_path).name, inst.n_vars, d, p, mode, shots or 0, seed,
+        Path(instance_path).name, inst.n_vars, d, p, mode, shots if mode == "shots" else 0, seed,
         trace.final_cost, record.best_cost, record.method, ratio,
-        result.eval_count, rounded_cost, rounded_cost / record.best_cost,
+        result.eval_count, rounded_cost, approximation_ratio(rounded_cost, record.best_cost),
         _params_text(result.best_params), "".join("+" if v > 0 else "-" for v in solution),
     ]
     runfiles.write_csv(
@@ -337,7 +339,7 @@ def baseline(instance_paths, d, r_star, seed, out):
         dec = ana.decomposed_baseline_exact(inst, scheme)
         record = ground_truth(inst, seed=seed)
         row = [Path(path).name, inst.n_vars, d, dec, record.best_cost, record.method,
-               dec / record.best_cost]
+               approximation_ratio(dec, record.best_cost)]
         row += [ana.baseline_ratio(p, inst.n_vars, d, btable) for p in sorted(table)]
         rows.append(row)
     runfiles.write_csv(out_path, header, rows)
@@ -433,8 +435,8 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
         tasks.append((target, scheme, scaled))
     results = _pmap(partial(_concentration_worker, seed), tasks, jobs)
     rows = [
-        [Path(path).name, target.n_vars, d, p, cost, c_star, method, cost / c_star,
-         donor_ratio, _params_text(scaled)]
+        [Path(path).name, target.n_vars, d, p, cost, c_star, method,
+         approximation_ratio(cost, c_star), donor_ratio, _params_text(scaled)]
         for path, (target, _, scaled), (cost, c_star, method) in zip(target_paths, tasks, results)
     ]
     runfiles.write_csv(

@@ -1,9 +1,10 @@
 """Lowering of the phase separator to the {Rx(pi/2), Rz, iSWAP, X} gate set.
 
-The pipeline is: commuting Hamiltonian terms -> label-controlled phase
-rotations (logical IR) -> per data-target set, a Walsh expansion of the
-label angles synthesized as a Gray-code walk of Rz rotations and CNOTs
-(Welch et al., New J. Phys. 16, 033040 (2014)) -> native gates. The
+The pipeline is: commuting Hamiltonian terms -> the same terms with gamma
+folded into their coefficients -> per data-target set, a Walsh expansion of
+the label angles synthesized as a Gray-code walk of Rz rotations and CNOTs
+(Welch et al., New J. Phys. 16, 033040 (2014)) -> native gates. One term
+type, ``HamiltonianTerm``, runs from the estimator to the gate list. The
 synthesis needs no ancillas, no X-conjugation and no Toffolis, so a
 compiled layer runs on the q encoding qubits alone. Correctness is
 certified numerically: the compiled circuit, simulated on every basis
@@ -13,7 +14,7 @@ column at once, must match the ideal unitary up to a global phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,11 +76,6 @@ class Circuit:
         self.gates.append(gate)
         return self
 
-    def extend(self, gates: list[Gate]) -> "Circuit":
-        for g in gates:
-            self.add(g.name, *g.qubits, angle=g.angle)
-        return self
-
     def gate_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for g in self.gates:
@@ -105,31 +101,21 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Logical IR: label-controlled phase rotations
+# Gamma-scaled terms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IRTerm:
-    """controlled-exp(i angle Z...Z): data-qubit Z string gated on label value."""
+def lower_phase_separator(terms: list[HamiltonianTerm], gamma: float) -> list[HamiltonianTerm]:
+    """The terms of exp(i gamma H), each with gamma folded into its coefficient.
 
-    control_pattern: int
-    targets: tuple[int, ...]
-    angle: float
-
-
-def lower_phase_separator(terms: list[HamiltonianTerm], gamma: float) -> list[IRTerm]:
-    """One IR rotation per Hamiltonian term; angles absorb gamma.
-
-    exp(i gamma H) factorizes exactly because all terms commute, so any
-    ordering of the returned list compiles to the same unitary.
+    A scaled term stands for the label-controlled rotation
+    exp(i coefficient Z...Z) on its data qubits. exp(i gamma H) factorizes
+    exactly because all terms commute, so any ordering of the returned list
+    compiles to the same unitary.
     """
     if gamma == 0.0:
         return []
-    ir = []
-    for term in terms:
-        ir.append(IRTerm(term.label, term.data_qubits, gamma * term.coefficient))
-    return ir
+    return [replace(term, coefficient=gamma * term.coefficient) for term in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +135,15 @@ def _walsh(theta: np.ndarray) -> np.ndarray:
 
 
 def decompose_controls(
-    ir: list[IRTerm],
+    terms: list[HamiltonianTerm],
     scheme: EncodingScheme,
 ) -> Circuit:
-    """Synthesize the label-controlled rotations over {CNOT, Rz}, no ancillas.
+    """Synthesize gamma-scaled terms over {CNOT, Rz}, no ancillas.
 
-    Angles of terms sharing a (label, data-target set D) pair are summed.
-    With P_l = 2^-m sum_L (-1)^popcount(l & L) Z_L (label qubit j holds bit
+    Each term is the label-controlled rotation exp(i coefficient Z...Z) on
+    its data qubits; the coefficients of terms sharing a (label, data-target
+    set D) pair are summed into one angle. With
+    P_l = 2^-m sum_L (-1)^popcount(l & L) Z_L (label qubit j holds bit
     m-1-j), the rotations on D become prod_L exp(i a_L Z_L Z_D). A CNOT folds
     the parity of D onto its last qubit; a cyclic Gray-code walk over the
     label subsets then applies each Rz(-2 a_L) = exp(i a_L Z) once, with one
@@ -165,10 +153,10 @@ def decompose_controls(
     m = scheme.n_label_qubits
     n_labels = 1 << m
     angles: dict[tuple[int, ...], np.ndarray] = {}
-    for term in ir:
-        if not 0 <= term.control_pattern < scheme.n_groups:
-            raise ValueError(f"control pattern {term.control_pattern} exceeds label range")
-        angles.setdefault(term.targets, np.zeros(n_labels))[term.control_pattern] += term.angle
+    for term in terms:
+        if not 0 <= term.label < scheme.n_groups:
+            raise ValueError(f"label {term.label} exceeds label range")
+        angles.setdefault(term.data_qubits, np.zeros(n_labels))[term.label] += term.coefficient
 
     circuit = Circuit(scheme.n_qubits)
     for targets, theta in angles.items():
@@ -243,11 +231,11 @@ def to_native(circuit: Circuit) -> Circuit:
     native = Circuit(circuit.n_qubits)
     for gate in circuit.gates:
         if gate.name == "RX":
-            native.extend(_native_rx(gate.qubits[0], gate.angle))
+            native.gates.extend(_native_rx(gate.qubits[0], gate.angle))
         elif gate.name == "CNOT":
-            native.extend(_native_cnot(*gate.qubits))
+            native.gates.extend(_native_cnot(*gate.qubits))
         else:
-            native.extend([gate])
+            native.gates.append(gate)
     return native
 
 

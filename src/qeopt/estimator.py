@@ -37,8 +37,7 @@ class GroupStats:
     # (N/d, C(d,2)): column k holds the pair data_pair_indices(d)[k] of each label
     corr_matrix: np.ndarray = field(repr=False)
     observed: np.ndarray  # (N/d,) bool
-    source: str  # "exact" or "shots"
-    n_shots: int | None = None
+    n_shots: int | None = None  # None for exact statistics
 
     @property
     def n_unobserved(self) -> int:
@@ -76,8 +75,8 @@ def pair_product_table(d: int) -> np.ndarray:
 _PAIR_TABLES: dict[int, np.ndarray] = {}
 
 
-def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray, source: str,
-                      n_shots: int | None, observed: np.ndarray | None = None) -> GroupStats:
+def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray, n_shots: int | None,
+                      observed: np.ndarray | None = None) -> GroupStats:
     d = scheme.group_size
     grouped = probs.reshape(scheme.n_groups, 1 << d)
     p_label = grouped.sum(axis=1)
@@ -98,7 +97,6 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray, source: str,
         zbar=zbar_mat.ravel(),
         corr_matrix=corr_mat,
         observed=observed,
-        source=source,
         n_shots=n_shots,
     )
 
@@ -107,25 +105,27 @@ def exact_group_stats(scheme: EncodingScheme, state: Statevector) -> GroupStats:
     """Statistics computed from the full amplitude vector."""
     if state.dim != scheme.dim:
         raise ValueError(f"state has {state.n_qubits} qubits, scheme needs {scheme.n_qubits}")
-    return _stats_from_probs(scheme, state.probabilities(), "exact", None)
+    return _stats_from_probs(scheme, state.probabilities(), None)
 
 
-def shot_group_stats(scheme: EncodingScheme, counts: dict[int, int], n_shots: int) -> GroupStats:
-    """Frequency-based statistics from measured shot counts."""
+def shot_group_stats(scheme: EncodingScheme, counts: np.ndarray) -> GroupStats:
+    """Frequency-based statistics from a shot-count array.
+
+    ``counts[k]`` is the number of shots that read basis index k, as
+    ``Statevector.sample`` returns it; the shot budget is ``counts.sum()``.
+    A label no shot read is unobserved.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != (scheme.dim,) or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"counts must be an integer array of shape ({scheme.dim},), "
+                         f"got {counts.dtype} {counts.shape}")
+    if np.any(counts < 0):
+        raise ValueError("negative shot count")
+    n_shots = int(counts.sum())
     if n_shots < 1:
         raise ValueError(f"need at least one shot, got {n_shots}")
-    total = sum(counts.values())
-    if total != n_shots:
-        raise ValueError(f"counts sum to {total}, expected {n_shots}")
-    freq = np.zeros(scheme.dim)
-    for index, count in counts.items():
-        if not 0 <= index < scheme.dim:
-            raise IndexError(f"basis index {index} out of range [0, {scheme.dim})")
-        if count < 0:
-            raise ValueError("negative shot count")
-        freq[index] = count / n_shots
-    grouped_counts = freq.reshape(scheme.n_groups, -1).sum(axis=1)
-    return _stats_from_probs(scheme, freq, "shots", n_shots, observed=grouped_counts > 0)
+    observed = counts.reshape(scheme.n_groups, -1).sum(axis=1) > 0
+    return _stats_from_probs(scheme, counts / n_shots, n_shots, observed=observed)
 
 
 def _intra_weight_matrix(instance: SKInstance, scheme: EncodingScheme) -> np.ndarray:
@@ -196,52 +196,49 @@ class HamiltonianTerm:
     coefficient: float
 
 
+def _separator_setup(
+    instance: SKInstance, scheme: EncodingScheme, stats: GroupStats
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intra-group pair weights (N/d, C(d,2)), cross-group fields (N/d, d) and
+    the <P_l> normalization (N/d,), 1 for unobserved labels."""
+    _check_sizes(instance, scheme)
+    if stats.n_unobserved:
+        log.debug("dropping Hamiltonian terms for %d unobserved label(s)", stats.n_unobserved)
+    intra_w = _intra_weight_matrix(instance, scheme)
+    h_mat = cross_group_fields(instance, scheme, stats).reshape(scheme.n_groups, scheme.group_size)
+    denom = np.where(stats.observed, stats.p_label, 1.0)
+    return intra_w, h_mat, denom
+
+
 def cost_hamiltonian_terms(
     instance: SKInstance, scheme: EncodingScheme, stats: GroupStats
 ) -> list[HamiltonianTerm]:
     """Symbolic term list of the state-dependent Hamiltonian.
 
     Coefficients carry the 1/<P_l> normalization. Terms owned by unobserved
-    labels are dropped (with a warning); zero-coefficient one-body terms are
-    skipped.
+    labels are dropped (with a debug message); zero-weight pair terms and
+    zero-field one-body terms are skipped. Terms come label by label, pairs
+    in ``data_pair_indices`` order before the one-body terms.
     """
-    _check_sizes(instance, scheme)
-    if stats.n_unobserved:
-        log.debug("dropping Hamiltonian terms for %d unobserved label(s)", stats.n_unobserved)
+    intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
     d = scheme.group_size
-    pairs = data_pair_indices(d)
-    intra_w = _intra_weight_matrix(instance, scheme)
-    h = cross_group_fields(instance, scheme, stats)
-
-    terms: list[HamiltonianTerm] = []
-    for label in range(scheme.n_groups):
-        if not stats.observed[label]:
-            continue
-        inv_p = 1.0 / stats.p_label[label]
-        for idx, (a, b) in enumerate(pairs):
-            w = intra_w[label, idx]
-            if w != 0.0:
-                terms.append(HamiltonianTerm(label, (a, b), w * inv_p))
-        for a in range(d):
-            hi = h[d * label + a]
-            if hi != 0.0:
-                terms.append(HamiltonianTerm(label, (a,), hi * inv_p))
-    return terms
+    targets = data_pair_indices(d) + [(a,) for a in range(d)]
+    weights = np.concatenate((intra_w, h_mat), axis=1)
+    coeffs = weights * (1.0 / denom)[:, None]
+    labels, cols = np.nonzero((weights != 0.0) & stats.observed[:, None])
+    return [
+        HamiltonianTerm(label, targets[col], coeff)
+        for label, col, coeff in zip(labels.tolist(), cols.tolist(), coeffs[labels, cols].tolist())
+    ]
 
 
 def build_cost_hamiltonian(
     instance: SKInstance, scheme: EncodingScheme, stats: GroupStats
 ) -> DiagonalOperator:
     """Materialize the state-dependent Hamiltonian as a dense diagonal."""
-    _check_sizes(instance, scheme)
-    if stats.n_unobserved:
-        log.debug("dropping Hamiltonian terms for %d unobserved label(s)", stats.n_unobserved)
+    intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
     d = scheme.group_size
     spins = basis_spin_table(d).astype(np.float64)
-    intra_w = _intra_weight_matrix(instance, scheme)
-    h_mat = cross_group_fields(instance, scheme, stats).reshape(scheme.n_groups, d)
-
-    denom = np.where(stats.observed, stats.p_label, 1.0)
     block = pair_product_table(d) @ intra_w.T + spins @ h_mat.T  # (2**d, N/d)
     block = block / denom[None, :]
     block[:, ~stats.observed] = 0.0

@@ -300,18 +300,15 @@ def optimize_gamma_scale(
     instance: SKInstance,
     scheme: EncodingScheme,
     donor_params: tuple[LayerParams, ...] | list[LayerParams],
-    scan: np.ndarray | None = None,
 ) -> float:
     """Best common multiplier theta for the donor gamma values.
 
     Beta and gamma' stay at the donor values; every layer's gamma is scaled
-    by the same theta. The default scan covers positive rescalings over three
-    decades (the size-transfer law is a positive rescaling); pass a custom
-    scan to explore sign flips. The coarse winner is refined with a bounded
-    scalar search.
+    by the same theta. The scan covers positive rescalings over three
+    decades (the size-transfer law is a positive rescaling). The coarse
+    winner is refined with a bounded scalar search.
     """
-    if scan is None:
-        scan = np.geomspace(0.02, 50.0, 81)
+    scan = np.geomspace(0.02, 50.0, 81)
 
     def cost_at(theta: float) -> float:
         scaled = [LayerParams(lp.beta, theta * lp.gamma, lp.gamma_bias) for lp in donor_params]

@@ -107,10 +107,11 @@ def cost(instance: SKInstance, spins: np.ndarray) -> float:
 
 
 def approximation_ratio(c: float, c_star: float) -> float:
-    """r = C / C*; requires C* < 0 (SK optima are negative)."""
+    """r = C / C*; requires C* < 0 (SK optima are negative). A zero cost
+    gives +0.0, not the -0.0 of 0.0 / C*."""
     if not c_star < 0:
         raise ValueError(f"approximation ratio needs C* < 0, got {c_star}")
-    return c / c_star
+    return c / c_star + 0.0
 
 
 def brute_force_optimum(instance: SKInstance) -> OptimumRecord:

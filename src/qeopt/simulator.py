@@ -139,17 +139,16 @@ class Statevector:
 
     # -- measurement ---------------------------------------------------------
 
-    def sample(self, n_shots: int, seed: int = 0, key: tuple = ()) -> dict[int, int]:
-        """Multinomial shot counts over basis indices, deterministic per seed."""
+    def sample(self, n_shots: int, seed: int = 0, key: tuple = ()) -> np.ndarray:
+        """Multinomial shot counts, deterministic per seed: entry k of the
+        length-2**q integer array counts the shots that read basis index k."""
         if n_shots < 1:
             raise ValueError(f"need at least one shot, got {n_shots}")
         probs = self.probabilities()
         probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
         rng = stream(seed, "sample", *key)
-        counts = rng.multinomial(n_shots, probs)
-        nz = np.nonzero(counts)[0]
-        return {int(k): int(counts[k]) for k in nz}
+        return rng.multinomial(n_shots, probs)
 
     def expectation_diagonal(self, diag: DiagonalOperator | np.ndarray) -> float:
         entries = _diag_entries(diag, self.dim)

@@ -141,7 +141,7 @@ def test_criterion_04_symmetry_breaking(fixture_instance, fixture_scheme):
     best_p = min(schedule, key=lambda p: schedule[p].best_cost)
     result = schedule[best_p]
     trace = run_ansatz(fixture_instance, fixture_scheme, list(result.best_params))
-    _, rounded_cost = extract_solution(trace, fixture_scheme, seed=1)
+    _, rounded_cost = extract_solution(trace, seed=1)
     ok = rounded_cost == -4.0 and result.best_cost <= -3.6
     report(4, "symmetry breaking at p<=3", ok,
            f"C={result.best_cost:.4f} (r={result.ratio:.4f}) at p={best_p}, "

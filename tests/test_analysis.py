@@ -136,7 +136,7 @@ class TestShotNoise:
         exact = -4.0
         for n_shots in (7, 100):
             counts = state.sample(n_shots, seed=5)
-            stats = shot_group_stats(n4_scheme, counts, n_shots)
+            stats = shot_group_stats(n4_scheme, counts)
             if not stats.observed.all():
                 continue  # tiny budgets may miss a label; definite values otherwise
             est = estimate_cost(n4_instance, n4_scheme, stats).total

@@ -160,9 +160,10 @@ class TestShotMode:
             n_shots=500, seed=1,
         )
         assert trace.final_state is None
-        assert sum(trace.final_counts.values()) == 500
+        assert trace.final_counts.shape == (n4_scheme.dim,)
+        assert trace.final_counts.sum() == 500
         assert len(trace.layer_stats) == 3
-        assert trace.layer_stats[0].source == "shots"
+        assert all(stats.n_shots == 500 for stats in trace.layer_stats)
 
     def test_shot_mode_deterministic(self, n4_instance, n4_scheme):
         runs = [
@@ -202,7 +203,7 @@ def reference_shot_run(instance, scheme, params, n_shots, seed):
         for j in range(k):
             apply_layer(state, frozen[j], params[j])
         counts = state.sample(n_shots, seed=seed, key=("ansatz-layer", k))
-        stats = shot_group_stats(scheme, counts, n_shots)
+        stats = shot_group_stats(scheme, counts)
         layer_stats.append(stats)
         layer_costs.append(estimate_cost(instance, scheme, stats))
         frozen.append(build_cost_hamiltonian(instance, scheme, stats))
@@ -236,7 +237,10 @@ class TestForwardPassAgreement:
             ref_stats, ref_costs, ref_counts = reference_shot_run(
                 instance, scheme, params, 500, 9
             )
-        assert trace.final_counts == ref_counts
+        if mode == "exact":
+            assert trace.final_counts is None and ref_counts is None
+        else:
+            assert np.array_equal(trace.final_counts, ref_counts)
         assert len(trace.layer_stats) == len(ref_stats) == p + 1
         for k in range(p + 1):
             assert trace.layer_costs[k].total == ref_costs[k].total
@@ -262,14 +266,14 @@ class TestExtractSolution:
             layer_costs=[estimate_cost(n4_instance, n4_scheme, stats)],
             final_state=state,
         )
-        got, got_cost = extract_solution(trace, n4_scheme)
+        got, got_cost = extract_solution(trace)
         np.testing.assert_array_equal(got, z)
         assert got_cost == cost(n4_instance, z)
 
     def test_symmetric_state_tie_break_is_deterministic(self, n4_instance, n4_scheme):
         trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(3 * np.pi / 8, np.pi / 8)])
-        a = extract_solution(trace, n4_scheme, seed=5)
-        b = extract_solution(trace, n4_scheme, seed=5)
+        a = extract_solution(trace, seed=5)
+        b = extract_solution(trace, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1] == -4.0  # modal patterns per label read the ground state
 
@@ -278,5 +282,5 @@ class TestExtractSolution:
             n4_instance, n4_scheme, [LayerParams(3 * np.pi / 8, np.pi / 8)],
             mode="shots", n_shots=2000, seed=3,
         )
-        _, got_cost = extract_solution(trace, n4_scheme)
+        _, got_cost = extract_solution(trace)
         assert got_cost == -4.0

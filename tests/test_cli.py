@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from qeopt.cli import main
-from qeopt.problem import example_instance_n4, generate_sk
+from qeopt.problem import SKInstance, example_instance_n4, generate_sk
 from qeopt.runfiles import read_instance, read_manifest, write_instance
 
 
@@ -185,6 +185,33 @@ class TestSolve:
         assert printed == round(float(row["ratio"]), 4)
         assert float(result.output.split()[1]) == pytest.approx(float(row["cost"]), abs=1e-6)
 
+    def test_exact_mode_writes_no_shots_and_unsigned_zero_ratio(self, runner, fixture_file,
+                                                                tmp_path):
+        out = tmp_path / "res.csv"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(fixture_file), "--d", "2", "--p", "1", "--hops", "1",
+            "--local-evals", "20", "--shots", "500", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        (row,) = read_rows(out)
+        assert (row["mode"], row["shots"]) == ("exact", "0")
+        assert (row["rounded_cost"], row["rounded_ratio"]) == ("0", "0")
+
+    def test_zero_shot_cost_has_unsigned_zero_ratio(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "--n", "16", "--seed", "3",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "res.csv"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(tmp_path / "sk_n16_pm1_000.txt"), "--d", "4", "--p", "2",
+            "--hops", "1", "--local-evals", "40", "--mode", "shots", "--shots", "400",
+            "--seed", "4", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        (row,) = read_rows(out)
+        assert (row["cost"], row["ratio"]) == ("0", "0")
+        assert "(r = 0.0000)" in result.output
+
     def test_manifest_written(self, runner, fixture_file, tmp_path):
         out = tmp_path / "res.csv"
         result = runner.invoke(main, [
@@ -286,6 +313,16 @@ class TestBaselineCmd:
         assert not out.exists()
 
 
+    def test_zero_weight_instance_exits_3(self, runner, tmp_path):
+        zero = tmp_path / "zero.txt"
+        write_instance(SKInstance(8, np.zeros((8, 8)), "pm1", 0), zero)
+        out = tmp_path / "base.csv"
+        result = runner.invoke(main, ["baseline", "--instance", str(zero), "--d", "2",
+                                      "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert one_error_line(result) and "C* < 0" in result.output
+
+
 class TestShotsCmd:
     @pytest.mark.parametrize("params", ["a,b,c", "nan,0,0", "0,inf,0", "0.1,0.2", ""])
     def test_bad_params_exit_2(self, runner, fixture_file, tmp_path, params):
@@ -365,6 +402,17 @@ class TestTransferCmd:
         assert result.exit_code == 2, result.output
         assert "finite numbers" in result.output
 
+    def test_zero_weight_target_exits_3(self, runner, fixture_file, tmp_path):
+        zero = tmp_path / "zero.txt"
+        write_instance(SKInstance(4, np.zeros((4, 4)), "pm1", 0), zero)
+        result = runner.invoke(main, [
+            "transfer", "--donor-instance", str(fixture_file), "--target-instance", str(zero),
+            "--d", "2", "--p", "1", "--donor-params", "0.4,0.05,0.3",
+            "--out", str(tmp_path / "t.csv"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert one_error_line(result) and "C* < 0" in result.output
+
     def test_parallel_jobs_identical_output(self, runner, tmp_path):
         donor = tmp_path / "donor.txt"
         write_instance(generate_sk(16, "pm1", seed=1), donor)
@@ -388,6 +436,9 @@ RERUN_CASES = {
     "solve": lambda inst, out: (
         ["solve", "--instance", inst, "--d", "2", "--p", "2", "--hops", "1", "--local-evals", "30",
          "--allow-padding", "--out", out], out),
+    "solve-shots": lambda inst, out: (
+        ["solve", "--instance", inst, "--d", "2", "--p", "1", "--mode", "shots", "--shots", "300",
+         "--hops", "1", "--local-evals", "30", "--seed", "2", "--out", out], out),
     "landscape-shots": lambda inst, out: (
         ["landscape", "--instance", inst, "--d", "2", "--beta-steps", "3", "--gamma-steps", "3",
          "--mode", "shots", "--shots", "200", "--seed", "4", "--out", out], out),

@@ -7,7 +7,6 @@ import pytest
 from qeopt.ansatz import LayerParams, apply_layer
 from qeopt.compiler import (
     Circuit,
-    IRTerm,
     circuit_unitary,
     compile_layer,
     decompose_controls,
@@ -19,6 +18,7 @@ from qeopt.compiler import (
 )
 from qeopt.encoding import make_scheme
 from qeopt.estimator import (
+    HamiltonianTerm,
     build_cost_hamiltonian,
     cost_hamiltonian_terms,
     exact_group_stats,
@@ -33,12 +33,12 @@ def ideal_controlled_phase(n_qubits, scheme, term):
     d = scheme.group_size
     diag = np.zeros(dim)
     for k in range(dim):
-        if (k >> d) != term.control_pattern:
+        if (k >> d) != term.label:
             continue
         s = 1.0
-        for dq in term.targets:
+        for dq in term.data_qubits:
             s *= 1 - 2 * ((k >> (d - 1 - dq)) & 1)
-        diag[k] = term.angle * s
+        diag[k] = term.coefficient * s
     return np.exp(1j * diag)
 
 
@@ -102,25 +102,26 @@ class TestLowering:
     def test_fixture_plus_state_terms(self, n4_instance, n4_scheme):
         stats = exact_group_stats(n4_scheme, init_plus(3))
         gamma = 0.37
-        ir = lower_phase_separator(cost_hamiltonian_terms(n4_instance, n4_scheme, stats), gamma)
-        assert len(ir) == 2
-        by_label = {t.control_pattern: t for t in ir}
-        assert by_label[0].targets == (0, 1)
-        assert by_label[0].angle == pytest.approx(2 * gamma)  # w01 / (1/2) * gamma
-        assert by_label[1].angle == pytest.approx(2 * gamma)
+        terms = lower_phase_separator(cost_hamiltonian_terms(n4_instance, n4_scheme, stats), gamma)
+        assert len(terms) == 2
+        by_label = {t.label: t for t in terms}
+        assert by_label[0].data_qubits == (0, 1)
+        assert by_label[0].coefficient == pytest.approx(2 * gamma)  # w01 / (1/2) * gamma
+        assert by_label[1].coefficient == pytest.approx(2 * gamma)
 
     def test_term_order_is_immaterial(self, n4_scheme):
-        ir = [IRTerm(0, (0, 1), 0.3), IRTerm(1, (0,), -0.7), IRTerm(1, (0, 1), 0.11)]
-        u_fwd = circuit_unitary(decompose_controls(ir, n4_scheme))
-        u_rev = circuit_unitary(decompose_controls(ir[::-1], n4_scheme))
+        terms = [HamiltonianTerm(0, (0, 1), 0.3), HamiltonianTerm(1, (0,), -0.7),
+                 HamiltonianTerm(1, (0, 1), 0.11)]
+        u_fwd = circuit_unitary(decompose_controls(terms, n4_scheme))
+        u_rev = circuit_unitary(decompose_controls(terms[::-1], n4_scheme))
         np.testing.assert_allclose(u_fwd, u_rev, atol=1e-12)
 
 
 class TestDecomposeControls:
     def test_m0_bare_rotations(self):
         scheme = make_scheme(4, 4)
-        ir = [IRTerm(0, (1, 3), 0.5), IRTerm(0, (2,), -0.25)]
-        circuit = decompose_controls(ir, scheme)
+        terms = [HamiltonianTerm(0, (1, 3), 0.5), HamiltonianTerm(0, (2,), -0.25)]
+        circuit = decompose_controls(terms, scheme)
         assert circuit.n_qubits == scheme.n_qubits
         diag = np.zeros(16)
         for k in range(16):
@@ -131,7 +132,7 @@ class TestDecomposeControls:
 
     @pytest.mark.parametrize("pattern", [0, 1])
     def test_m1_against_matrix_oracle(self, pattern, n4_scheme):
-        term = IRTerm(pattern, (0, 1), 0.8321)
+        term = HamiltonianTerm(pattern, (0, 1), 0.8321)
         circuit = decompose_controls([term], n4_scheme)
         assert circuit.n_qubits == n4_scheme.n_qubits
         ref = ideal_controlled_phase(3, n4_scheme, term)
@@ -140,7 +141,7 @@ class TestDecomposeControls:
     @pytest.mark.parametrize("pattern", [0, 1, 2, 3])
     def test_m2_with_one_ancilla_against_oracle(self, pattern):
         scheme = make_scheme(8, 2)  # m=2, q=4
-        term = IRTerm(pattern, (0, 1), -0.456)
+        term = HamiltonianTerm(pattern, (0, 1), -0.456)
         circuit = decompose_controls([term], scheme)
         assert circuit.n_qubits == scheme.n_qubits
         ref = ideal_controlled_phase(4, scheme, term)
@@ -148,7 +149,7 @@ class TestDecomposeControls:
 
     def test_m3_ladder(self):
         scheme = make_scheme(16, 2)  # m=3, q=5
-        term = IRTerm(5, (0,), 0.321)
+        term = HamiltonianTerm(5, (0,), 0.321)
         circuit = decompose_controls([term], scheme)
         assert circuit.n_qubits == scheme.n_qubits
         ref = ideal_controlled_phase(5, scheme, term)
@@ -156,7 +157,7 @@ class TestDecomposeControls:
 
     def test_bad_pattern_rejected(self, n4_scheme):
         with pytest.raises(ValueError):
-            decompose_controls([IRTerm(2, (0,), 0.1)], n4_scheme)
+            decompose_controls([HamiltonianTerm(2, (0,), 0.1)], n4_scheme)
 
 
 class TestToNative:
@@ -196,28 +197,28 @@ class TestToNative:
         scheme = make_scheme(n, d)
         rng = np.random.default_rng(n + d)
         target_sets = [(a, b) for a in range(d) for b in range(a + 1, d)] + [(a,) for a in range(d)]
-        ir = [
-            IRTerm(int(rng.integers(scheme.n_groups)),
-                   target_sets[rng.integers(len(target_sets))], float(rng.normal()))
+        terms = [
+            HamiltonianTerm(int(rng.integers(scheme.n_groups)),
+                            target_sets[rng.integers(len(target_sets))], float(rng.normal()))
             for _ in range(3 * scheme.n_groups)
         ]
-        native = to_native(decompose_controls(ir, scheme))
+        native = to_native(decompose_controls(terms, scheme))
         bound = 2 * sum((1 << scheme.n_label_qubits) + 2 * (len(ts) - 1)
-                        for ts in {t.targets for t in ir})
+                        for ts in {t.data_qubits for t in terms})
         assert native.gate_counts()["ISWAP"] <= bound
-        ref = np.prod([ideal_controlled_phase(scheme.n_qubits, scheme, t) for t in ir], axis=0)
+        ref = np.prod([ideal_controlled_phase(scheme.n_qubits, scheme, t) for t in terms], axis=0)
         assert verify_unitary(native, ref) < 1e-12
 
     def test_terms_sharing_label_and_targets_cost_one_term(self, n4_scheme):
         def compile_k(k):
-            ir = [IRTerm(0, (0, 1), 0.1 * (j + 1)) for j in range(k)]
-            return to_native(decompose_controls(ir, n4_scheme))
+            terms = [HamiltonianTerm(0, (0, 1), 0.1 * (j + 1)) for j in range(k)]
+            return to_native(decompose_controls(terms, n4_scheme))
 
         one = compile_k(1).gate_counts()
         assert compile_k(2).gate_counts() == one
         five = compile_k(5)
         assert five.gate_counts() == one
-        ref = ideal_controlled_phase(3, n4_scheme, IRTerm(0, (0, 1), 1.5))
+        ref = ideal_controlled_phase(3, n4_scheme, HamiltonianTerm(0, (0, 1), 1.5))
         assert verify_unitary(five, ref) < 1e-12
 
 
@@ -253,14 +254,14 @@ class TestFullLayer:
 
 class TestVerifyUnitary:
     def test_exact_diagonal_gives_zero(self, n4_scheme):
-        term = IRTerm(0, (0, 1), 0.5)
+        term = HamiltonianTerm(0, (0, 1), 0.5)
         circuit = decompose_controls([term], n4_scheme)
         ref = ideal_controlled_phase(3, n4_scheme, term)
         assert verify_unitary(circuit, ref) < 1e-12
 
     def test_wrong_angle_detected(self, n4_scheme):
-        circuit = decompose_controls([IRTerm(0, (0, 1), 0.5)], n4_scheme)
-        ref = ideal_controlled_phase(3, n4_scheme, IRTerm(0, (0, 1), 0.51))
+        circuit = decompose_controls([HamiltonianTerm(0, (0, 1), 0.5)], n4_scheme)
+        ref = ideal_controlled_phase(3, n4_scheme, HamiltonianTerm(0, (0, 1), 0.51))
         assert verify_unitary(circuit, ref) > 1e-3
 
     def test_simulation_matches_kron_product(self):

@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from qeopt.encoding import encode_target, make_scheme, uniform_lambdas
 from qeopt.estimator import (
+    HamiltonianTerm,
+    _intra_weight_matrix,
+    _stats_from_probs,
     build_cost_hamiltonian,
     cost_hamiltonian_terms,
+    cross_group_fields,
+    data_pair_indices,
     estimate_cost,
     exact_group_stats,
     shot_group_stats,
 )
-from qeopt.problem import cost, generate_sk
+from qeopt.problem import SKInstance, cost, generate_sk
 from qeopt.rng import stream
 from qeopt.simulator import Statevector, init_plus
 
@@ -29,7 +34,7 @@ class TestExactStats:
         np.testing.assert_allclose(stats.p_label, 0.5)
         np.testing.assert_allclose(stats.zbar, 0.0, atol=1e-14)
         assert stats.observed.all()
-        assert stats.source == "exact"
+        assert stats.n_shots is None
 
     def test_encoded_string_has_definite_values(self, n4_scheme):
         rng = np.random.default_rng(8)
@@ -62,15 +67,24 @@ class TestExactStats:
 
 class TestShotStats:
     def test_concentrated_counts(self, n4_scheme):
-        stats = shot_group_stats(n4_scheme, {0b001: 50}, 50)
+        counts = np.zeros(8, dtype=np.int64)
+        counts[0b001] = 50
+        stats = shot_group_stats(n4_scheme, counts)
         np.testing.assert_allclose(stats.zbar[:2], [1, -1])
         assert stats.corr_matrix[0, 0] == pytest.approx(-1.0)
         assert not stats.observed[1]
         assert stats.n_shots == 50
 
-    def test_counts_must_sum(self, n4_scheme):
-        with pytest.raises(ValueError):
-            shot_group_stats(n4_scheme, {0: 3}, 5)
+    def test_malformed_counts_rejected(self, n4_scheme):
+        for counts in (
+            np.full(4, 5),  # a 2-qubit histogram for a 3-qubit scheme
+            np.full((2, 4), 5),  # right size, wrong shape
+            np.full(8, 0.5),  # frequencies, not counts
+            np.array([6, -1, 0, 0, 0, 0, 0, 0]),  # sums to 5, one count negative
+            np.zeros(8, dtype=np.int64),  # no shots
+        ):
+            with pytest.raises(ValueError):
+                shot_group_stats(n4_scheme, counts)
 
     def test_converges_to_exact(self, n4_instance, n4_scheme):
         from qeopt.ansatz import LayerParams, run_ansatz
@@ -78,7 +92,7 @@ class TestShotStats:
         trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(0.9, 0.3, 0.2)])
         exact = exact_group_stats(n4_scheme, trace.final_state)
         counts = trace.final_state.sample(10_000, seed=3)
-        shots = shot_group_stats(n4_scheme, counts, 10_000)
+        shots = shot_group_stats(n4_scheme, counts)
         np.testing.assert_allclose(shots.zbar, exact.zbar, atol=0.05)
         np.testing.assert_allclose(shots.corr_matrix, exact.corr_matrix, atol=0.05)
 
@@ -90,11 +104,50 @@ class TestShotStats:
         values = np.empty(reps)
         for rep in range(reps):
             counts = state.sample(1000, seed=rep, key=("unbiased",))
-            stats = shot_group_stats(n4_scheme, counts, 1000)
+            stats = shot_group_stats(n4_scheme, counts)
             assert stats.observed.all()  # 1000 shots, both labels near 1/2
             values[rep] = stats.corr_matrix[0, 0]
         se = values.std(ddof=1) / np.sqrt(reps)
         assert abs(values.mean() - exact.corr_matrix[0, 0]) < max(3 * se, 1e-12)
+
+
+def reference_dict_sample(state, n_shots, seed, key):
+    """Shot counts as a {basis index: count} dict, as sampling returned them
+    before the count array was kept."""
+    probs = np.clip(state.probabilities(), 0.0, None)
+    counts = stream(seed, "sample", *key).multinomial(n_shots, probs / probs.sum())
+    return {int(k): int(counts[k]) for k in np.nonzero(counts)[0]}
+
+
+def reference_dict_stats(scheme, counts, n_shots):
+    """The dict loop that rebuilt the frequency array for the shot statistics."""
+    freq = np.zeros(scheme.dim)
+    for index, count in counts.items():
+        freq[index] = count / n_shots
+    grouped_counts = freq.reshape(scheme.n_groups, -1).sum(axis=1)
+    return _stats_from_probs(scheme, freq, n_shots, observed=grouped_counts > 0)
+
+
+class TestCountArrayAgreement:
+    """Count arrays give the statistics the dict path gave, bit for bit."""
+
+    @pytest.mark.parametrize("n_shots", [7, 500, 20_000])
+    @pytest.mark.parametrize("shape", [(4, 2), (16, 4), (64, 4)], ids=lambda s: "%dx%d" % s)
+    def test_bit_identical_to_dict_path(self, shape, n_shots):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        state = random_state(np.random.default_rng(n + n_shots), scheme.n_qubits)
+        key = ("agreement", n_shots)
+        counts = state.sample(n_shots, seed=3, key=key)
+        ref_counts = reference_dict_sample(state, n_shots, 3, key)
+        assert {k: int(counts[k]) for k in np.nonzero(counts)[0]} == ref_counts
+        got = shot_group_stats(scheme, counts)
+        want = reference_dict_stats(scheme, ref_counts, n_shots)
+        assert got.n_shots == want.n_shots == n_shots
+        assert np.array_equal(got.p_label, want.p_label)
+        assert np.array_equal(got.zbar, want.zbar)
+        assert np.array_equal(got.corr_matrix, want.corr_matrix)
+        assert np.array_equal(got.observed, want.observed)
 
 
 class TestCost:
@@ -198,6 +251,50 @@ class TestHamiltonian:
             rebuilt[term.label] += term.coefficient * z
         scale = np.abs(dense).max()
         assert np.abs(rebuilt.ravel() - dense).max() <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(4, 2), (8, 2), (8, 4), (16, 2), (16, 4), (8, 8)]),
+        st.sampled_from(["pm1", "gaussian"]),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example((8, 2), "gaussian", 3, True, False)
+    @example((8, 4), "pm1", 5, True, True)
+    def test_terms_match_reference_loop(self, shape, kind, seed, drop_label, sparse):
+        """The vectorized term list equals the per-label loop it replaced:
+        same labels, targets and order, coefficients ==."""
+        n, d = shape
+        inst = generate_sk(n, kind, seed=seed)
+        rng = np.random.default_rng(seed)
+        if sparse:  # zero weights exercise the skipped terms
+            inst = SKInstance(n, np.where(rng.random((n, n)) < 0.5, 0.0, inst.weights),
+                              inst.weight_kind, inst.seed)
+        scheme = make_scheme(n, d)
+        amps = random_state(rng, scheme.n_qubits).amps.reshape(scheme.n_groups, 1 << d)
+        if drop_label and scheme.n_groups > 1:
+            amps[rng.integers(scheme.n_groups)] = 0.0
+        state = Statevector(scheme.n_qubits, amps.ravel() / np.linalg.norm(amps))
+        stats = exact_group_stats(scheme, state)
+
+        pairs = data_pair_indices(d)
+        intra_w = _intra_weight_matrix(inst, scheme)
+        h = cross_group_fields(inst, scheme, stats)
+        want = []
+        for label in range(scheme.n_groups):
+            if not stats.observed[label]:
+                continue
+            inv_p = 1.0 / stats.p_label[label]
+            for idx, (a, b) in enumerate(pairs):
+                w = intra_w[label, idx]
+                if w != 0.0:
+                    want.append(HamiltonianTerm(label, (a, b), w * inv_p))
+            for a in range(d):
+                hi = h[d * label + a]
+                if hi != 0.0:
+                    want.append(HamiltonianTerm(label, (a,), hi * inv_p))
+        assert cost_hamiltonian_terms(inst, scheme, stats) == want
 
     def test_unobserved_label_terms_dropped(self, n4_instance, n4_scheme, caplog):
         amps = np.zeros(8, dtype=complex)

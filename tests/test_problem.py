@@ -157,6 +157,10 @@ class TestRatioAndPadding:
         assert approximation_ratio(-4.0, -4.0) == 1.0
         assert approximation_ratio(0.0, -4.0) == 0.0
 
+    def test_zero_cost_gives_unsigned_zero(self):
+        assert not np.signbit(approximation_ratio(0.0, -4.0))
+        assert not np.signbit(approximation_ratio(-0.0, -4.0))
+
     def test_nonnegative_c_star_rejected(self):
         with pytest.raises(ValueError):
             approximation_ratio(-1.0, 0.0)

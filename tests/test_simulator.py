@@ -194,27 +194,26 @@ class TestSampling:
         amps = np.zeros(8, dtype=complex)
         amps[5] = 1.0
         counts = Statevector(3, amps).sample(1000, seed=1)
-        assert counts == {5: 1000}
+        assert counts.shape == (8,)
+        assert np.array_equal(counts, np.eye(8, dtype=int)[5] * 1000)
 
     def test_single_qubit_binomial_within_5_sigma(self):
         counts = init_plus(1).sample(10_000, seed=2)
-        assert abs(counts.get(0, 0) - 5000) < 5 * 50
+        assert abs(counts[0] - 5000) < 5 * 50
 
     def test_counts_sum_and_determinism(self):
         state = init_plus(3)
         a = state.sample(500, seed=9)
         b = state.sample(500, seed=9)
-        assert a == b
-        assert sum(a.values()) == 500
+        assert np.array_equal(a, b)
+        assert np.issubdtype(a.dtype, np.integer)
+        assert a.sum() == 500
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_total_variation_convergence(self, q):
         rng = np.random.default_rng(q + 20)
         state = random_state(rng, q)
-        counts = state.sample(100_000, seed=4)
-        freq = np.zeros(1 << q)
-        for k, c in counts.items():
-            freq[k] = c / 100_000
+        freq = state.sample(100_000, seed=4) / 100_000
         tv = 0.5 * np.abs(freq - state.probabilities()).sum()
         assert tv < 0.02
 
