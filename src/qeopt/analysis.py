@@ -21,21 +21,16 @@ from qeopt.estimator import estimate_cost, shot_group_stats
 from qeopt.problem import SKInstance, brute_force_optimum
 from qeopt.rng import stream
 
-PARISI_CONSTANT = 0.7632
-
-
 @dataclass(frozen=True)
 class EntropyProfile:
-    n_vars: int
     group_sizes: tuple[int, ...]
     mean_entropy: np.ndarray  # bits, one entry per group size
-    n_samples: int
 
 
 @dataclass(frozen=True)
 class BaselineTable:
     """Approximation ratios r*(p) of the size-d reference ansatz, supplied
-    from external literature, plus the Parisi constant.
+    from external literature.
 
     Context: the asymptotic ground-state cost is C*(N) ~ -P N^(3/2) + a N^w
     with P the Parisi constant and finite-size constants w = 5/6, a ~ 0.7;
@@ -44,14 +39,11 @@ class BaselineTable:
     """
 
     r_star: dict[int, float]
-    parisi: float = PARISI_CONSTANT
 
     def __post_init__(self):
         for p, r in self.r_star.items():
             if not 0 < r <= 1:
                 raise ValueError(f"r*(p={p}) must be in (0, 1], got {r}")
-        if self.parisi <= 0:
-            raise ValueError("Parisi constant must be positive")
 
 
 def data_entropy(scheme: EncodingScheme, spins: np.ndarray, lambdas: np.ndarray | None = None) -> float:
@@ -103,12 +95,7 @@ def entropy_profile(
             spins = rng.integers(0, 2, size=n_vars) * 2 - 1
             total += data_entropy(scheme, spins)
         means.append(total / n_samples)
-    return EntropyProfile(
-        n_vars=n_vars,
-        group_sizes=tuple(group_sizes),
-        mean_entropy=np.array(means),
-        n_samples=n_samples,
-    )
+    return EntropyProfile(group_sizes=tuple(group_sizes), mean_entropy=np.array(means))
 
 
 def baseline_ratio(p: int, n_vars: int, group_size: int, table: BaselineTable) -> float:

@@ -43,9 +43,6 @@ class LayerParams:
             if not np.isfinite(v):
                 raise ValueError(f"layer parameters must be finite, got {self}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.beta, self.gamma, self.gamma_bias])
-
 
 @dataclass
 class AnsatzTrace:

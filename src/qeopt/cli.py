@@ -258,6 +258,8 @@ def landscape_cmd(instance_path, d, beta_steps, gamma_steps, gamma_bias, mode, s
         problems.append("grid steps must be >= 1")
     if mode == "shots" and (shots is None or shots < 1):
         problems.append("--shots must be >= 1 when --mode shots")
+    if d < 1:
+        problems.append("--d must be >= 1")
     _fail_usage(problems)
     out_path = _resolve_out(out, "landscape.csv")
     betas = np.linspace(0.0, math.pi, beta_steps)
@@ -321,6 +323,8 @@ def baseline(instance_paths, d, r_star, seed, out):
     CSV columns: instance, n_vars, d, baseline_cost, c_star, c_star_method,
     baseline_ratio, asymptotic_ratio_p<P> (one column per supplied r*(p)).
     """
+    if d < 1:
+        raise click.UsageError("--d must be >= 1")
     table = {}
     if r_star:
         try:
@@ -329,8 +333,11 @@ def baseline(instance_paths, d, r_star, seed, out):
                 table[int(key)] = float(val)
         except ValueError:
             raise click.UsageError(f"--r-star must look like '1:0.3,2:0.41', got {r_star!r}")
+    try:
+        btable = ana.BaselineTable(table) if table else None
+    except ValueError as exc:
+        raise click.UsageError(f"--r-star: {exc}")
     out_path = _resolve_out(out, "baseline.csv")
-    btable = ana.BaselineTable(table) if table else None
     header = ["instance", "n_vars", "d", "baseline_cost", "c_star", "c_star_method",
               "baseline_ratio"] + [f"asymptotic_ratio_p{p}" for p in sorted(table)]
     rows = []
@@ -367,11 +374,21 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
     except ValueError:
         raise click.UsageError(f"--shot-counts must be comma-separated ints, got {shot_counts!r}")
     layers = _parse_params(params)
+    problems = []
+    if min(counts) < 1:
+        problems.append("--shot-counts budgets must be >= 1")
+    if len(set(counts)) < 2:
+        problems.append("--shot-counts needs at least two distinct budgets for the slope")
     if replicas < 2:
-        raise click.UsageError("--replicas must be >= 2")
+        problems.append("--replicas must be >= 2")
+    if d < 1:
+        problems.append("--d must be >= 1")
+    _fail_usage(problems)
     out_path = _resolve_out(out, "shots.csv")
     inst, scheme = _load_instance(instance_path, d, allow_padding=False)
     study = ana.shot_noise_study(inst, scheme, layers, counts, replicas=replicas, seed=seed)
+    if study.exact_cost == 0:
+        raise RuntimeFailure("relative error needs a nonzero exact cost, got 0")
     rows = [
         [n, err, se, err / abs(study.exact_cost), study.exact_cost]
         for n, err, se in zip(study.shot_counts, study.mean_abs_error, study.stderr)
@@ -412,8 +429,12 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     CSV columns: instance, n_vars, d, p, cost, c_star, c_star_method, ratio,
     donor_ratio, params.
     """
+    problems = []
     if p < 1:
-        raise click.UsageError("--p must be >= 1")
+        problems.append("--p must be >= 1")
+    if d < 1:
+        problems.append("--d must be >= 1")
+    _fail_usage(problems)
     layers = tuple(_parse_params(donor_params)) if donor_params else None
     out_path = _resolve_out(out, "transfer.csv")
     donor_inst, donor_scheme = _load_instance(donor_instance, d, allow_padding=False)

@@ -154,7 +154,7 @@ def decompose_controls(
     n_labels = 1 << m
     angles: dict[tuple[int, ...], np.ndarray] = {}
     for term in terms:
-        if not 0 <= term.label < scheme.n_groups:
+        if not 0 <= term.label < n_labels:
             raise ValueError(f"label {term.label} exceeds label range")
         angles.setdefault(term.data_qubits, np.zeros(n_labels))[term.label] += term.coefficient
 
@@ -331,7 +331,7 @@ def compile_layer(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one gate per line, `GATE q[,q2][,angle]`
+# Listing: one gate per line, `GATE q[,q2][,angle]`
 # ---------------------------------------------------------------------------
 
 
@@ -344,23 +344,3 @@ def dumps(circuit: Circuit) -> str:
         lines.append(f"{g.name} {','.join(parts)}")
     return "\n".join(lines) + "\n"
 
-
-def loads(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# circuit"):
-        raise ValueError("missing circuit header line")
-    header = dict(kv.split("=") for kv in lines[0].removeprefix("# circuit").split())
-    circuit = Circuit(int(header["qubits"]))
-    for ln in lines[1:]:
-        name, _, rest = ln.partition(" ")
-        if name not in GATE_SIGNATURES:
-            raise ValueError(f"unknown gate kind {name!r}")
-        n_qubits, has_angle = GATE_SIGNATURES[name]
-        parts = rest.split(",")
-        expected = n_qubits + (1 if has_angle else 0)
-        if len(parts) != expected:
-            raise ValueError(f"bad gate line {ln!r}: expected {expected} fields")
-        qubits = [int(p) for p in parts[:n_qubits]]
-        angle = float(parts[n_qubits]) if has_angle else None
-        circuit.add(name, *qubits, angle=angle)
-    return circuit

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -37,7 +38,6 @@ class GroupStats:
     # (N/d, C(d,2)): column k holds the pair data_pair_indices(d)[k] of each label
     corr_matrix: np.ndarray = field(repr=False)
     observed: np.ndarray  # (N/d,) bool
-    n_shots: int | None = None  # None for exact statistics
 
     @property
     def n_unobserved(self) -> int:
@@ -58,24 +58,27 @@ def data_pair_indices(d: int) -> list[tuple[int, int]]:
     return list(combinations(range(d), 2))
 
 
+@cache
+def _pair_columns(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only data-qubit indices (a, b) of the pairs, in data_pair_indices order."""
+    cols = np.array(data_pair_indices(d), dtype=np.intp).reshape(-1, 2).T.copy()
+    cols.setflags(write=False)
+    return cols[0], cols[1]
+
+
+@cache
 def pair_product_table(d: int) -> np.ndarray:
-    """(2**d, C(d,2)) products s_a * s_b of the basis spin table."""
-    table = _PAIR_TABLES.get(d)
-    if table is None:
-        spins = basis_spin_table(d).astype(np.float64)
-        pairs = data_pair_indices(d)
-        table = np.empty((1 << d, len(pairs)))
-        for idx, (a, b) in enumerate(pairs):
-            table[:, idx] = spins[:, a] * spins[:, b]
-        table.setflags(write=False)
-        _PAIR_TABLES[d] = table
+    """(2**d, C(d,2)) read-only products s_a * s_b of the basis spin table, cached per d."""
+    spins = basis_spin_table(d).astype(np.float64)
+    pairs = data_pair_indices(d)
+    table = np.empty((1 << d, len(pairs)))
+    for idx, (a, b) in enumerate(pairs):
+        table[:, idx] = spins[:, a] * spins[:, b]
+    table.setflags(write=False)
     return table
 
 
-_PAIR_TABLES: dict[int, np.ndarray] = {}
-
-
-def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray, n_shots: int | None,
+def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
                       observed: np.ndarray | None = None) -> GroupStats:
     d = scheme.group_size
     grouped = probs.reshape(scheme.n_groups, 1 << d)
@@ -97,7 +100,6 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray, n_shots: int | 
         zbar=zbar_mat.ravel(),
         corr_matrix=corr_mat,
         observed=observed,
-        n_shots=n_shots,
     )
 
 
@@ -105,7 +107,7 @@ def exact_group_stats(scheme: EncodingScheme, state: Statevector) -> GroupStats:
     """Statistics computed from the full amplitude vector."""
     if state.dim != scheme.dim:
         raise ValueError(f"state has {state.n_qubits} qubits, scheme needs {scheme.n_qubits}")
-    return _stats_from_probs(scheme, state.probabilities(), None)
+    return _stats_from_probs(scheme, state.probabilities())
 
 
 def shot_group_stats(scheme: EncodingScheme, counts: np.ndarray) -> GroupStats:
@@ -125,19 +127,15 @@ def shot_group_stats(scheme: EncodingScheme, counts: np.ndarray) -> GroupStats:
     if n_shots < 1:
         raise ValueError(f"need at least one shot, got {n_shots}")
     observed = counts.reshape(scheme.n_groups, -1).sum(axis=1) > 0
-    return _stats_from_probs(scheme, counts / n_shots, n_shots, observed=observed)
+    return _stats_from_probs(scheme, counts / n_shots, observed=observed)
 
 
 def _intra_weight_matrix(instance: SKInstance, scheme: EncodingScheme) -> np.ndarray:
     """(N/d, C(d,2)) weights w_ij of the intra-group pairs."""
     d = scheme.group_size
-    pairs = data_pair_indices(d)
-    if not pairs:
-        return np.zeros((scheme.n_groups, 0))
+    a, b = _pair_columns(d)
     bases = d * np.arange(scheme.n_groups)[:, None]
-    a = np.array([p[0] for p in pairs])[None, :]
-    b = np.array([p[1] for p in pairs])[None, :]
-    return instance.weights[bases + a, bases + b]
+    return instance.weights[bases + a[None, :], bases + b[None, :]]
 
 
 def _check_sizes(instance: SKInstance, scheme: EncodingScheme) -> None:
@@ -161,14 +159,8 @@ def estimate_cost(instance: SKInstance, scheme: EncodingScheme, stats: GroupStat
     full = float(zbar @ instance.weights @ zbar)  # sum over all i<j of w zbar zbar
     d = scheme.group_size
     zbar_mat = zbar.reshape(scheme.n_groups, d)
-    pairs = data_pair_indices(d)
-    if pairs:
-        a = np.array([p[0] for p in pairs])
-        b = np.array([p[1] for p in pairs])
-        zpair = zbar_mat[:, a] * zbar_mat[:, b]
-        intra_zz = float(np.sum(intra_w * zpair))
-    else:
-        intra_zz = 0.0
+    a, b = _pair_columns(d)
+    intra_zz = float(np.sum(intra_w * (zbar_mat[:, a] * zbar_mat[:, b])))
     return CostBreakdown(intra=intra, inter=full - intra_zz)
 
 

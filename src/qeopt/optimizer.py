@@ -49,7 +49,6 @@ class OptimResult:
     ratio: float
     eval_count: int
     history: tuple[float, ...]  # best cost after each accepted hop
-    c_star: float
 
 
 def gamma_scale_hint(scheme: EncodingScheme) -> float:
@@ -187,7 +186,6 @@ def optimize(
         ratio=approximation_ratio(fn.best_cost, c_star),
         eval_count=fn.eval_count,
         history=tuple(history),
-        c_star=c_star,
     )
 
 

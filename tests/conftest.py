@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from qeopt.encoding import make_scheme
@@ -13,8 +12,3 @@ def n4_instance():
 @pytest.fixture(scope="session")
 def n4_scheme():
     return make_scheme(4, 2)
-
-
-def random_state_amps(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
-    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    return amps / np.linalg.norm(amps)

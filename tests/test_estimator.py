@@ -2,10 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+from encoding_oracle import encode_target
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qeopt.encoding import encode_target, make_scheme, uniform_lambdas
+from qeopt.encoding import basis_spin_table, make_scheme
 from qeopt.estimator import (
     HamiltonianTerm,
     _intra_weight_matrix,
@@ -16,6 +17,7 @@ from qeopt.estimator import (
     data_pair_indices,
     estimate_cost,
     exact_group_stats,
+    pair_product_table,
     shot_group_stats,
 )
 from qeopt.problem import SKInstance, cost, generate_sk
@@ -34,12 +36,11 @@ class TestExactStats:
         np.testing.assert_allclose(stats.p_label, 0.5)
         np.testing.assert_allclose(stats.zbar, 0.0, atol=1e-14)
         assert stats.observed.all()
-        assert stats.n_shots is None
 
     def test_encoded_string_has_definite_values(self, n4_scheme):
         rng = np.random.default_rng(8)
         z = rng.choice([-1, 1], size=4)
-        state = Statevector(3, encode_target(n4_scheme, z, uniform_lambdas(n4_scheme)))
+        state = Statevector(3, encode_target(n4_scheme, z))
         stats = exact_group_stats(n4_scheme, state)
         np.testing.assert_allclose(stats.zbar, z, atol=1e-12)
         assert stats.corr_matrix[0, 0] == pytest.approx(z[0] * z[1])
@@ -73,7 +74,6 @@ class TestShotStats:
         np.testing.assert_allclose(stats.zbar[:2], [1, -1])
         assert stats.corr_matrix[0, 0] == pytest.approx(-1.0)
         assert not stats.observed[1]
-        assert stats.n_shots == 50
 
     def test_malformed_counts_rejected(self, n4_scheme):
         for counts in (
@@ -125,7 +125,7 @@ def reference_dict_stats(scheme, counts, n_shots):
     for index, count in counts.items():
         freq[index] = count / n_shots
     grouped_counts = freq.reshape(scheme.n_groups, -1).sum(axis=1)
-    return _stats_from_probs(scheme, freq, n_shots, observed=grouped_counts > 0)
+    return _stats_from_probs(scheme, freq, observed=grouped_counts > 0)
 
 
 class TestCountArrayAgreement:
@@ -143,11 +143,50 @@ class TestCountArrayAgreement:
         assert {k: int(counts[k]) for k in np.nonzero(counts)[0]} == ref_counts
         got = shot_group_stats(scheme, counts)
         want = reference_dict_stats(scheme, ref_counts, n_shots)
-        assert got.n_shots == want.n_shots == n_shots
         assert np.array_equal(got.p_label, want.p_label)
         assert np.array_equal(got.zbar, want.zbar)
         assert np.array_equal(got.corr_matrix, want.corr_matrix)
         assert np.array_equal(got.observed, want.observed)
+
+
+def reference_pair_list_cost(instance, scheme, stats):
+    """estimate_cost with the pair index arrays rebuilt from data_pair_indices per call."""
+    d = scheme.group_size
+    pairs = data_pair_indices(d)
+    if pairs:
+        bases = d * np.arange(scheme.n_groups)[:, None]
+        a = np.array([p[0] for p in pairs])
+        b = np.array([p[1] for p in pairs])
+        intra_w = instance.weights[bases + a[None, :], bases + b[None, :]]
+        zbar_mat = stats.zbar.reshape(scheme.n_groups, d)
+        intra_zz = float(np.sum(intra_w * (zbar_mat[:, a] * zbar_mat[:, b])))
+    else:
+        intra_w = np.zeros((scheme.n_groups, 0))
+        intra_zz = 0.0
+    intra = float(np.sum(intra_w * stats.corr_matrix))
+    full = float(stats.zbar @ instance.weights @ stats.zbar)
+    return intra_w, intra, full - intra_zz
+
+
+class TestPairTables:
+    """The per-d cached pair tables give the values the per-call pair lists gave."""
+
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16)],
+                             ids=lambda s: "%dx%d" % s)
+    def test_bit_identical_to_pair_list_path(self, shape):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        inst = generate_sk(n, "gaussian", seed=n + d)
+        stats = exact_group_stats(scheme, random_state(np.random.default_rng(d), scheme.n_qubits))
+        intra_w, intra, inter = reference_pair_list_cost(inst, scheme, stats)
+        assert np.array_equal(_intra_weight_matrix(inst, scheme), intra_w)
+        got = estimate_cost(inst, scheme, stats)
+        assert (got.intra, got.inter) == (intra, inter)
+        spins = basis_spin_table(d).astype(np.float64)
+        table = pair_product_table(d)
+        assert pair_product_table(d) is table and not table.flags.writeable
+        for k, (a, b) in enumerate(data_pair_indices(d)):
+            assert np.array_equal(table[:, k], spins[:, a] * spins[:, b])
 
 
 class TestCost:
@@ -184,7 +223,7 @@ class TestCost:
         inst = generate_sk(n, "gaussian", seed=seed)
         scheme = make_scheme(n, d)
         z = rng.choice([-1, 1], size=n)
-        amps = encode_target(scheme, z, uniform_lambdas(scheme))
+        amps = encode_target(scheme, z)
         stats = exact_group_stats(scheme, Statevector(scheme.n_qubits, amps))
         assert estimate_cost(inst, scheme, stats).total == pytest.approx(cost(inst, z), abs=1e-9)
 
