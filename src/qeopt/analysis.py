@@ -42,6 +42,8 @@ class BaselineTable:
 
     def __post_init__(self):
         for p, r in self.r_star.items():
+            if p < 1:
+                raise ValueError(f"r* depths must be >= 1, got p={p}")
             if not 0 < r <= 1:
                 raise ValueError(f"r*(p={p}) must be in (0, 1], got {r}")
 

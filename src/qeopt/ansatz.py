@@ -19,7 +19,6 @@ import numpy as np
 
 from qeopt.encoding import EncodingScheme, basis_spin_table
 from qeopt.estimator import (
-    CostBreakdown,
     GroupStats,
     build_cost_hamiltonian,
     estimate_cost,
@@ -46,20 +45,16 @@ class LayerParams:
 
 @dataclass
 class AnsatzTrace:
-    """Per-layer record of a single ansatz execution (layer 0 included)."""
+    """Record of a single ansatz execution: the statistics of layers 0..p and
+    the cost assembled from the last of them. Exact mode keeps the final
+    state, shot mode the last layer's shot counts."""
 
     instance: SKInstance
     scheme: EncodingScheme
-    params: list[LayerParams]
-    mode: str  # "exact" or "shots"
     layer_stats: list[GroupStats]
-    layer_costs: list[CostBreakdown]
+    final_cost: float
     final_state: Statevector | None = None
     final_counts: np.ndarray | None = None  # (2**q,) shot counts of the last layer
-
-    @property
-    def final_cost(self) -> float:
-        return self.layer_costs[-1].total
 
 
 def apply_layer(
@@ -91,7 +86,7 @@ def run_ansatz(
     n_shots: int | None = None,
     seed: int = 0,
 ) -> AnsatzTrace:
-    """Execute the full ansatz and record per-layer statistics and costs."""
+    """Execute the full ansatz, recording per-layer statistics and the final cost."""
     if instance.n_vars != scheme.n_vars:
         raise ValueError(
             f"instance has {instance.n_vars} variables, scheme encodes {scheme.n_vars}"
@@ -106,7 +101,6 @@ def run_ansatz(
 
     state = init_plus(scheme.n_qubits)
     layer_stats: list[GroupStats] = []
-    layer_costs: list[CostBreakdown] = []
     counts = None
     for k in range(len(params) + 1):
         if k:
@@ -118,14 +112,11 @@ def run_ansatz(
         else:
             stats = exact_group_stats(scheme, state)
         layer_stats.append(stats)
-        layer_costs.append(estimate_cost(instance, scheme, stats))
     return AnsatzTrace(
         instance=instance,
         scheme=scheme,
-        params=list(params),
-        mode=mode,
         layer_stats=layer_stats,
-        layer_costs=layer_costs,
+        final_cost=estimate_cost(instance, scheme, layer_stats[-1]).total,
         final_state=None if shots else state,
         final_counts=counts,
     )
@@ -180,7 +171,9 @@ def extract_solution(trace: AnsatzTrace, seed: int = 0) -> tuple[np.ndarray, flo
     cand_a = np.where(stats.zbar > 0, 1, np.where(stats.zbar < 0, -1, coin)).astype(np.int8)
 
     d = scheme.group_size
-    final = trace.final_state.probabilities() if trace.mode == "exact" else trace.final_counts
+    final = trace.final_counts
+    if final is None:
+        final = trace.final_state.probabilities()
     grouped = final.reshape(scheme.n_groups, 1 << d)
     spins = basis_spin_table(d)
     cand_b = np.empty(scheme.n_vars, dtype=np.int8)

@@ -38,6 +38,11 @@ def _fail_usage(problems: list[str]) -> None:
         raise click.UsageError("; ".join(problems))
 
 
+def _pow2_quotient(n: int, d: int) -> bool:
+    """Whether groups of d split N variables into a power-of-two number of labels."""
+    return d >= 1 and n % d == 0 and (n // d) & (n // d - 1) == 0
+
+
 def _resolve_out(out: str | None, default_name: str) -> Path:
     path = Path(out) if out else runfiles.default_out_dir() / default_name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -191,6 +196,10 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         problems.append("--shots must be >= 1 when --mode shots")
     if d < 1:
         problems.append("--d must be >= 1")
+    if hops < 0:
+        problems.append("--hops must be >= 0")
+    if local_evals < 1:
+        problems.append("--local-evals must be >= 1")
     _fail_usage(problems)
     out_path = _resolve_out(out, "solve.csv")
     inst, scheme = _load_instance(instance_path, d, allow_padding)
@@ -200,10 +209,9 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         freeze_gamma_bias=freeze_gamma_bias, seed=seed,
     )
     if warm_start:
-        results = opt.warm_start_schedule(inst, scheme, p, config, record.best_cost)
-        result = results[p]
+        result = opt.warm_start_schedule(inst, scheme, p, config)[p]
     else:
-        result = opt.optimize(inst, scheme, p, config, record.best_cost)
+        result = opt.optimize(inst, scheme, p, config)
     trace = run_ansatz(inst, scheme, list(result.best_params), mode=mode,
                        n_shots=shots, seed=seed)
     solution, rounded_cost = extract_solution(trace, seed=seed)
@@ -260,6 +268,8 @@ def landscape_cmd(instance_path, d, beta_steps, gamma_steps, gamma_bias, mode, s
         problems.append("--shots must be >= 1 when --mode shots")
     if d < 1:
         problems.append("--d must be >= 1")
+    if jobs < 1:
+        problems.append("--jobs must be >= 1")
     _fail_usage(problems)
     out_path = _resolve_out(out, "landscape.csv")
     betas = np.linspace(0.0, math.pi, beta_steps)
@@ -293,7 +303,9 @@ def entropy(n, d_list, samples, seed, out):
     except ValueError:
         raise click.UsageError(f"--d-list must be comma-separated ints, got {d_list!r}")
     problems = [f"d={d} does not divide N={n} with a power-of-two quotient"
-                for d in ds if d < 1 or n % d or ((n // d) & (n // d - 1))]
+                for d in ds if not _pow2_quotient(n, d)]
+    if n < 2:
+        problems.append("--n must be >= 2")
     if samples < 1:
         problems.append("--samples must be >= 1")
     _fail_usage(problems)
@@ -323,8 +335,9 @@ def baseline(instance_paths, d, r_star, seed, out):
     CSV columns: instance, n_vars, d, baseline_cost, c_star, c_star_method,
     baseline_ratio, asymptotic_ratio_p<P> (one column per supplied r*(p)).
     """
+    problems = []
     if d < 1:
-        raise click.UsageError("--d must be >= 1")
+        problems.append("--d must be >= 1")
     table = {}
     if r_star:
         try:
@@ -336,7 +349,8 @@ def baseline(instance_paths, d, r_star, seed, out):
     try:
         btable = ana.BaselineTable(table) if table else None
     except ValueError as exc:
-        raise click.UsageError(f"--r-star: {exc}")
+        problems.append(f"--r-star: {exc}")
+    _fail_usage(problems)
     out_path = _resolve_out(out, "baseline.csv")
     header = ["instance", "n_vars", "d", "baseline_cost", "c_star", "c_star_method",
               "baseline_ratio"] + [f"asymptotic_ratio_p{p}" for p in sorted(table)]
@@ -434,6 +448,10 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
         problems.append("--p must be >= 1")
     if d < 1:
         problems.append("--d must be >= 1")
+    if hops < 0:
+        problems.append("--hops must be >= 0")
+    if jobs < 1:
+        problems.append("--jobs must be >= 1")
     _fail_usage(problems)
     layers = tuple(_parse_params(donor_params)) if donor_params else None
     out_path = _resolve_out(out, "transfer.csv")
@@ -442,12 +460,10 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
         donor_ratio = float("nan")
     else:
         record = ground_truth(donor_inst, seed=seed)
-        sched = opt.warm_start_schedule(
-            donor_inst, donor_scheme, p,
-            opt.OptimizerConfig(n_hops=hops, seed=seed), record.best_cost,
-        )
-        layers = sched[p].best_params
-        donor_ratio = sched[p].ratio
+        donor = opt.warm_start_schedule(donor_inst, donor_scheme, p,
+                                        opt.OptimizerConfig(n_hops=hops, seed=seed))[p]
+        layers = donor.best_params
+        donor_ratio = approximation_ratio(donor.best_cost, record.best_cost)
 
     tasks = []
     for path in target_paths:
@@ -485,6 +501,16 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
 def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
     """Compile one full layer (phase separator + bias + mixer) to native gates
     and verify it against the ideal unitary; prints the max deviation."""
+    problems = []
+    if n < 2:
+        problems.append("--n must be >= 2")
+    if d < 1:
+        problems.append("--d must be >= 1")
+    elif not _pow2_quotient(n, d):
+        problems.append(f"--d {d} does not divide --n {n} with a power-of-two quotient")
+    if fixture_n4 and n != 4:
+        problems.append("--fixture-n4 needs --n 4")
+    _fail_usage(problems)
     out_path = _resolve_out(out, "compiled_layer.txt")
     inst = example_instance_n4() if (fixture_n4 or n == 4) else generate_sk(n, "pm1", seed=seed)
     scheme = make_scheme(n, d)

@@ -20,7 +20,7 @@ from scipy import optimize as sciopt
 
 from qeopt.ansatz import LayerParams, run_ansatz
 from qeopt.encoding import EncodingScheme
-from qeopt.problem import OptimumRecord, SKInstance, approximation_ratio, ground_truth
+from qeopt.problem import OptimumRecord, SKInstance, approximation_ratio
 from qeopt.rng import stream
 
 
@@ -46,7 +46,6 @@ class OptimizerConfig:
 class OptimResult:
     best_params: tuple[LayerParams, ...]
     best_cost: float
-    ratio: float
     eval_count: int
     history: tuple[float, ...]  # best cost after each accepted hop
 
@@ -149,7 +148,6 @@ def optimize(
     scheme: EncodingScheme,
     p: int,
     config: OptimizerConfig | None = None,
-    c_star: float | None = None,
 ) -> OptimResult:
     """Basin-hopping search over the p-layer parameters in exact mode."""
     if p < 1:
@@ -157,8 +155,6 @@ def optimize(
     config = config or OptimizerConfig()
     if config.initial is not None and len(config.initial) != p:
         raise ValueError(f"initial guess has {len(config.initial)} layers, need {p}")
-    if c_star is None:
-        c_star = ground_truth(instance, seed=config.seed).best_cost
     fn = _CostFunction(instance, scheme, p, config)
 
     if config.initial is not None:
@@ -183,7 +179,6 @@ def optimize(
     return OptimResult(
         best_params=tuple(fn.unpack(fn.best_x)),
         best_cost=fn.best_cost,
-        ratio=approximation_ratio(fn.best_cost, c_star),
         eval_count=fn.eval_count,
         history=tuple(history),
     )
@@ -216,21 +211,18 @@ def warm_start_schedule(
     scheme: EncodingScheme,
     p_max: int,
     config: OptimizerConfig | None = None,
-    c_star: float | None = None,
 ) -> dict[int, OptimResult]:
     """Optimize p = 1..p_max, seeding each depth with the previous optimum
     plus a grid-searched extra layer (the all-zero layer is in the grid, so
     the p-1 cost is always attainable)."""
     config = config or OptimizerConfig()
-    if c_star is None:
-        c_star = ground_truth(instance, seed=config.seed).best_cost
     results: dict[int, OptimResult] = {}
     for p in range(1, p_max + 1):
         if p > 1:
             prev = results[p - 1].best_params
             appended = _best_appended_layer(instance, scheme, prev, config)
             config = replace(config, initial=prev + (appended,))
-        results[p] = optimize(instance, scheme, p, config, c_star)
+        results[p] = optimize(instance, scheme, p, config)
     return results
 
 
@@ -246,52 +238,25 @@ def transfer_params(
     return tuple(LayerParams(lp.beta, lp.gamma * factor, lp.gamma_bias) for lp in params)
 
 
-@dataclass(frozen=True)
-class ConcentrationResult:
-    ratios: np.ndarray
-    mean: float
-    stderr: float
-    costs: np.ndarray
-    c_stars: np.ndarray
-    c_star_methods: tuple[str, ...]
-
-
 def concentration_experiment(
     instances: list[SKInstance],
     scheme: EncodingScheme,
     params: tuple[LayerParams, ...] | list[LayerParams],
-    seed: int = 0,
-    ground_truths: list[OptimumRecord] | None = None,
-) -> ConcentrationResult:
-    """Run frozen parameters over an ensemble and collect approximation ratios.
-
-    ``ground_truths`` lets callers reuse already-solved optima; otherwise each
-    instance is solved here (brute force under the size cap, tabu beyond).
-    """
+    ground_truths: list[OptimumRecord],
+) -> np.ndarray:
+    """Approximation ratios of frozen parameters over an ensemble, one per
+    instance, against the callers' already-solved optima."""
     if not instances:
         raise ValueError("need at least one instance")
-    if ground_truths is not None and len(ground_truths) != len(instances):
+    if len(ground_truths) != len(instances):
         raise ValueError("ground_truths must match instances one-to-one")
-    ratios, costs, c_stars, methods = [], [], [], []
-    for idx, inst in enumerate(instances):
+    ratios = []
+    for inst, record in zip(instances, ground_truths):
         if inst.n_vars != scheme.n_vars:
             raise ValueError("ensemble instances must match the scheme size")
-        record = ground_truths[idx] if ground_truths else ground_truth(inst, seed=seed + idx)
-        trace = run_ansatz(inst, scheme, list(params), mode="exact")
-        costs.append(trace.final_cost)
-        c_stars.append(record.best_cost)
-        methods.append(record.method)
-        ratios.append(approximation_ratio(trace.final_cost, record.best_cost))
-    ratios = np.array(ratios)
-    stderr = float(ratios.std(ddof=1) / math.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
-    return ConcentrationResult(
-        ratios=ratios,
-        mean=float(ratios.mean()),
-        stderr=stderr,
-        costs=np.array(costs),
-        c_stars=np.array(c_stars),
-        c_star_methods=tuple(methods),
-    )
+        cost = run_ansatz(inst, scheme, list(params), mode="exact").final_cost
+        ratios.append(approximation_ratio(cost, record.best_cost))
+    return np.array(ratios)
 
 
 def optimize_gamma_scale(

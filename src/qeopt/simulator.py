@@ -36,13 +36,6 @@ class DiagonalOperator:
         object.__setattr__(self, "entries", e)
 
 
-def _diag_entries(diag: DiagonalOperator | np.ndarray, dim: int) -> np.ndarray:
-    entries = diag.entries if isinstance(diag, DiagonalOperator) else np.asarray(diag, dtype=np.float64)
-    if entries.shape != (dim,):
-        raise ValueError(f"diagonal has shape {entries.shape}, state needs ({dim},)")
-    return entries
-
-
 class Statevector:
     """Length-2**q complex amplitude vector; gates mutate in place."""
 
@@ -125,10 +118,14 @@ class Statevector:
 
     # -- diagonal operators and the mixer ------------------------------------
 
-    def apply_diagonal_phase(self, diag: DiagonalOperator | np.ndarray, gamma: float) -> "Statevector":
+    def _check_diagonal(self, diag: DiagonalOperator) -> None:
+        if diag.n_qubits != self.n_qubits:
+            raise ValueError(f"diagonal acts on {diag.n_qubits} qubits, state has {self.n_qubits}")
+
+    def apply_diagonal_phase(self, diag: DiagonalOperator, gamma: float) -> "Statevector":
         """amp_k <- exp(i gamma entries_k) amp_k."""
-        entries = _diag_entries(diag, self.dim)
-        self.amps *= np.exp(1j * gamma * entries)
+        self._check_diagonal(diag)
+        self.amps *= np.exp(1j * gamma * diag.entries)
         return self
 
     def apply_mixer(self, beta: float) -> "Statevector":
@@ -150,9 +147,9 @@ class Statevector:
         rng = stream(seed, "sample", *key)
         return rng.multinomial(n_shots, probs)
 
-    def expectation_diagonal(self, diag: DiagonalOperator | np.ndarray) -> float:
-        entries = _diag_entries(diag, self.dim)
-        return float(np.dot(entries, self.probabilities()))
+    def expectation_diagonal(self, diag: DiagonalOperator) -> float:
+        self._check_diagonal(diag)
+        return float(np.dot(diag.entries, self.probabilities()))
 
 
 def init_plus(n_qubits: int) -> Statevector:

@@ -34,6 +34,7 @@ from qeopt.optimizer import (
     warm_start_schedule,
 )
 from qeopt.problem import (
+    approximation_ratio,
     brute_force_optimum,
     example_instance_n4,
     generate_sk,
@@ -68,9 +69,7 @@ def donor_setup():
     donor = generate_sk(64, "pm1", seed=1)
     scheme = make_scheme(64, 4)
     c_star = local_search_optimum(donor, seed=0).best_cost
-    schedule = warm_start_schedule(
-        donor, scheme, 3, OptimizerConfig(n_hops=24, seed=7), c_star=c_star
-    )
+    schedule = warm_start_schedule(donor, scheme, 3, OptimizerConfig(n_hops=24, seed=7))
     return donor, scheme, c_star, schedule
 
 
@@ -136,7 +135,7 @@ def test_criterion_03_optimal_point_state(fixture_instance, fixture_scheme):
 def test_criterion_04_symmetry_breaking(fixture_instance, fixture_scheme):
     t0 = time.time()
     schedule = warm_start_schedule(
-        fixture_instance, fixture_scheme, 3, OptimizerConfig(n_hops=20, seed=3), c_star=-4.0
+        fixture_instance, fixture_scheme, 3, OptimizerConfig(n_hops=20, seed=3)
     )
     best_p = min(schedule, key=lambda p: schedule[p].best_cost)
     result = schedule[best_p]
@@ -144,7 +143,8 @@ def test_criterion_04_symmetry_breaking(fixture_instance, fixture_scheme):
     _, rounded_cost = extract_solution(trace, seed=1)
     ok = rounded_cost == -4.0 and result.best_cost <= -3.6
     report(4, "symmetry breaking at p<=3", ok,
-           f"C={result.best_cost:.4f} (r={result.ratio:.4f}) at p={best_p}, "
+           f"C={result.best_cost:.4f} (r={approximation_ratio(result.best_cost, -4.0):.4f}) "
+           f"at p={best_p}, "
            f"rounded={rounded_cost}, {time.time() - t0:.1f}s")
 
 
@@ -182,7 +182,8 @@ def test_criterion_05_d_equals_n_reduction():
             LayerParams(float(rng.uniform(0, np.pi)), float(rng.uniform(-0.5, 0.5)), 0.0)
             for _ in range(int(rng.integers(1, 4)))
         ]
-        got = [c.total for c in run_ansatz(inst, scheme, params).layer_costs]
+        trace = run_ansatz(inst, scheme, params)
+        got = [estimate_cost(inst, scheme, stats).total for stats in trace.layer_stats]
         expected = plain_qaoa_costs(inst, params)
         worst = max(worst, float(np.abs(np.array(got) - np.array(expected)).max()))
     report(5, "d=N reduction vs plain-circuit oracle", worst < 1e-9,
@@ -240,8 +241,7 @@ def test_criterion_09_shot_noise_convergence(donor_setup):
     # a bias-frozen single-layer optimum keeps the label populations near
     # uniform, which is the regime whose cost the shot estimator must track
     result = optimize(
-        donor, scheme, 1, OptimizerConfig(freeze_gamma_bias=True, n_hops=10, seed=3),
-        c_star=c_star,
+        donor, scheme, 1, OptimizerConfig(freeze_gamma_bias=True, n_hops=10, seed=3)
     )
     study = shot_noise_study(
         donor, scheme, list(result.best_params), [100, 1_000, 10_000, 100_000],
@@ -257,19 +257,21 @@ def test_criterion_09_shot_noise_convergence(donor_setup):
 
 def test_criterion_10_parameter_concentration(donor_setup, pm1_ensemble, gaussian_ensemble):
     t0 = time.time()
-    _, scheme, _, schedule = donor_setup
-    donor_ratio = schedule[3].ratio
+    _, scheme, c_star, schedule = donor_setup
+    donor_ratio = approximation_ratio(schedule[3].best_cost, c_star)
     params = schedule[3].best_params
     pm1_instances, pm1_records = pm1_ensemble
     gauss_instances, gauss_records = gaussian_ensemble
-    pm1 = concentration_experiment(pm1_instances, scheme, params, ground_truths=pm1_records)
-    gauss = concentration_experiment(gauss_instances, scheme, params, ground_truths=gauss_records)
-    gap_pm1 = abs(pm1.mean - donor_ratio)
-    gap_gauss = abs(gauss.mean - donor_ratio)
+    pm1_mean = float(concentration_experiment(pm1_instances, scheme, params, pm1_records).mean())
+    gauss_mean = float(
+        concentration_experiment(gauss_instances, scheme, params, gauss_records).mean()
+    )
+    gap_pm1 = abs(pm1_mean - donor_ratio)
+    gap_gauss = abs(gauss_mean - donor_ratio)
     ok = gap_pm1 < 0.05 and gap_gauss < 0.07
     report(10, "parameter concentration", ok,
-           f"donor r {donor_ratio:.4f}, pm1 mean {pm1.mean:.4f} (gap {gap_pm1:.4f}), "
-           f"gaussian mean {gauss.mean:.4f} (gap {gap_gauss:.4f}), {time.time() - t0:.1f}s")
+           f"donor r {donor_ratio:.4f}, pm1 mean {pm1_mean:.4f} (gap {gap_pm1:.4f}), "
+           f"gaussian mean {gauss_mean:.4f} (gap {gap_gauss:.4f}), {time.time() - t0:.1f}s")
 
 
 def test_criterion_11_transfer_and_gamma_scaling(donor_setup):
@@ -283,10 +285,8 @@ def test_criterion_11_transfer_and_gamma_scaling(donor_setup):
         c_star = local_search_optimum(inst, seed=50 + k).best_cost
         trace = run_ansatz(inst, scheme128, list(transferred))
         transfer_ratios.append(trace.final_cost / c_star)
-        direct = warm_start_schedule(
-            inst, scheme128, 3, OptimizerConfig(n_hops=12, seed=70 + k), c_star=c_star
-        )
-        direct_ratios.append(direct[3].ratio)
+        direct = warm_start_schedule(inst, scheme128, 3, OptimizerConfig(n_hops=12, seed=70 + k))
+        direct_ratios.append(approximation_ratio(direct[3].best_cost, c_star))
     gap = abs(float(np.mean(transfer_ratios)) - float(np.mean(direct_ratios)))
 
     donor_params = list(schedule[3].best_params)

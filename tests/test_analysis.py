@@ -94,6 +94,8 @@ class TestBaseline:
     def test_table_validation(self):
         with pytest.raises(ValueError):
             BaselineTable({1: 1.5})
+        with pytest.raises(ValueError, match="depths"):
+            BaselineTable({0: 0.5})
 
     def test_fixture_decomposition(self, n4_instance, n4_scheme):
         assert decomposed_baseline_exact(n4_instance, n4_scheme) == -2.0

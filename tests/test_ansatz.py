@@ -4,6 +4,7 @@ from encoding_oracle import encode_target
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qeopt.ansatz
 from qeopt.ansatz import (
     AnsatzTrace,
     LayerParams,
@@ -87,13 +88,28 @@ class TestOptimalPoint:
 
     def test_all_zero_parameters_keep_layer0_cost(self, n4_instance, n4_scheme):
         trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(0, 0, 0)] * 2)
-        assert trace.layer_costs[0].total == pytest.approx(0.0, abs=1e-12)
+        layer0 = estimate_cost(n4_instance, n4_scheme, trace.layer_stats[0]).total
+        assert layer0 == pytest.approx(0.0, abs=1e-12)
         assert trace.final_cost == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_has_p_plus_one_records(self, n4_instance, n4_scheme):
         trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.1, 0.05)] * 3)
         assert len(trace.layer_stats) == 4
-        assert len(trace.layer_costs) == 4
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    def test_one_cost_assembly_per_run(self, monkeypatch, n4_instance, n4_scheme, mode, p):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return estimate_cost(*args)
+
+        monkeypatch.setattr(qeopt.ansatz, "estimate_cost", counted)
+        trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.1, 0.05)] * p,
+                           mode=mode, n_shots=200, seed=1)
+        assert len(calls) == 1
+        assert calls[0][2] is trace.layer_stats[-1]
 
 
 class TestDNReduction:
@@ -109,7 +125,7 @@ class TestDNReduction:
         ]
         trace = run_ansatz(inst, scheme, params)
         expected = plain_qaoa_costs(inst, params)
-        got = [c.total for c in trace.layer_costs]
+        got = [estimate_cost(inst, scheme, stats).total for stats in trace.layer_stats]
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -244,8 +260,9 @@ class TestForwardPassAgreement:
         else:
             assert np.array_equal(trace.final_counts, ref_counts)
         assert len(trace.layer_stats) == len(ref_stats) == p + 1
+        assert trace.final_cost == estimate_cost(instance, scheme, trace.layer_stats[-1]).total
         for k in range(p + 1):
-            assert trace.layer_costs[k].total == ref_costs[k].total
+            assert estimate_cost(instance, scheme, trace.layer_stats[k]).total == ref_costs[k].total
             got, want = trace.layer_stats[k], ref_stats[k]
             assert np.array_equal(got.p_label, want.p_label)
             assert np.array_equal(got.zbar, want.zbar)
@@ -257,15 +274,11 @@ class TestExtractSolution:
         z = np.array([1, -1, -1, 1])
         state = Statevector(3, encode_target(n4_scheme, z))
         stats = exact_group_stats(n4_scheme, state)
-        from qeopt.estimator import estimate_cost
-
         trace = AnsatzTrace(
             instance=n4_instance,
             scheme=n4_scheme,
-            params=[],
-            mode="exact",
             layer_stats=[stats],
-            layer_costs=[estimate_cost(n4_instance, n4_scheme, stats)],
+            final_cost=estimate_cost(n4_instance, n4_scheme, stats).total,
             final_state=state,
         )
         got, got_cost = extract_solution(trace)

@@ -551,6 +551,58 @@ def test_d_below_one_exits_2(runner, fixture_file, tmp_path, case):
     assert not Path(written).exists()
 
 
+# bad flag value -> (argv given the instance file and the output path, expected message)
+BAD_FLAG_CASES = {
+    "solve-negative-hops": lambda inst, out: (
+        ["solve", "--instance", inst, "--d", "2", "--hops", "-1", "--out", out],
+        "--hops must be >= 0"),
+    "solve-zero-local-evals": lambda inst, out: (
+        ["solve", "--instance", inst, "--d", "2", "--local-evals", "0", "--out", out],
+        "--local-evals must be >= 1"),
+    "transfer-negative-hops": lambda inst, out: (
+        ["transfer", "--donor-instance", inst, "--target-instance", inst, "--d", "2",
+         "--hops", "-1", "--out", out], "--hops must be >= 0"),
+    "transfer-zero-jobs": lambda inst, out: (
+        ["transfer", "--donor-instance", inst, "--target-instance", inst, "--d", "2",
+         "--donor-params", "0.4,0.05,0.3", "--jobs", "0", "--out", out], "--jobs must be >= 1"),
+    "transfer-negative-jobs": lambda inst, out: (
+        ["transfer", "--donor-instance", inst, "--target-instance", inst, "--d", "2",
+         "--donor-params", "0.4,0.05,0.3", "--jobs", "-2", "--out", out],
+        "--jobs must be >= 1"),
+    "landscape-zero-jobs": lambda inst, out: (
+        ["landscape", "--instance", inst, "--d", "2", "--beta-steps", "2", "--gamma-steps", "2",
+         "--jobs", "0", "--out", out], "--jobs must be >= 1"),
+    "landscape-negative-jobs": lambda inst, out: (
+        ["landscape", "--instance", inst, "--d", "2", "--beta-steps", "2", "--gamma-steps", "2",
+         "--jobs", "-1", "--out", out], "--jobs must be >= 1"),
+    "entropy-one-variable": lambda inst, out: (
+        ["entropy", "--n", "1", "--d-list", "1", "--out", out], "--n must be >= 2"),
+    "entropy-zero-variables": lambda inst, out: (
+        ["entropy", "--n", "0", "--out", out], "--n must be >= 2"),
+    "compile-check-zero-d": lambda inst, out: (
+        ["compile-check", "--d", "0", "--out", out], "--d must be >= 1"),
+    "compile-check-d-above-n": lambda inst, out: (
+        ["compile-check", "--n", "8", "--d", "9", "--out", out], "power-of-two quotient"),
+    "compile-check-d-not-dividing-n": lambda inst, out: (
+        ["compile-check", "--n", "8", "--d", "3", "--out", out], "power-of-two quotient"),
+    "compile-check-fixture-wrong-n": lambda inst, out: (
+        ["compile-check", "--fixture-n4", "--n", "8", "--out", out], "--fixture-n4 needs --n 4"),
+    "baseline-r-star-depth-zero": lambda inst, out: (
+        ["baseline", "--instance", inst, "--d", "2", "--r-star", "0:0.5", "--out", out],
+        "depths must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAG_CASES))
+def test_bad_flag_value_exits_2(runner, fixture_file, tmp_path, case):
+    out = tmp_path / "out"
+    argv, message = BAD_FLAG_CASES[case](str(fixture_file), str(out))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert one_error_line(result) and message in result.output
+    assert not out.exists()
+
+
 def one_error_line(result) -> bool:
     lines = result.output.splitlines()
     return isinstance(result.exception, SystemExit) and [

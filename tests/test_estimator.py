@@ -22,7 +22,7 @@ from qeopt.estimator import (
 )
 from qeopt.problem import SKInstance, cost, generate_sk
 from qeopt.rng import stream
-from qeopt.simulator import Statevector, init_plus
+from qeopt.simulator import DiagonalOperator, Statevector, init_plus
 
 
 def random_state(rng, n):
@@ -203,7 +203,7 @@ class TestCost:
         for k in range(1 << n):
             z = np.array([1 - 2 * ((k >> (n - 1 - i)) & 1) for i in range(n)])
             diag[k] = cost(inst, z)
-        assert got == pytest.approx(state.expectation_diagonal(diag), abs=1e-9)
+        assert got == pytest.approx(state.expectation_diagonal(DiagonalOperator(n, diag)), abs=1e-9)
 
     def test_fixture_final_state_cost(self, n4_instance, n4_scheme):
         # hand-built optimal state: (|0>+|1>) x (|01>+|10>) / 2

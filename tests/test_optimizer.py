@@ -11,7 +11,6 @@ from qeopt import optimizer
 from qeopt.ansatz import LayerParams, run_ansatz
 from qeopt.encoding import make_scheme
 from qeopt.optimizer import (
-    ConcentrationResult,
     OptimizerConfig,
     concentration_experiment,
     fit_gamma_scaling,
@@ -21,21 +20,20 @@ from qeopt.optimizer import (
     transfer_params,
     warm_start_schedule,
 )
-from qeopt.problem import generate_sk
+from qeopt.problem import generate_sk, ground_truth
 from qeopt.rng import stream
 
 
 class TestOptimize:
     def test_fixture_p1_frozen_bias_finds_landscape_optimum(self, n4_instance, n4_scheme):
         config = OptimizerConfig(freeze_gamma_bias=True, n_hops=5, seed=1)
-        result = optimize(n4_instance, n4_scheme, 1, config, c_star=-4.0)
+        result = optimize(n4_instance, n4_scheme, 1, config)
         assert result.best_cost == pytest.approx(-2.0, abs=1e-6)
-        assert result.ratio == pytest.approx(0.5, abs=1e-6)
 
     def test_zero_budget_returns_initial_guess_cost(self, n4_instance, n4_scheme):
         initial = (LayerParams(0.4, 0.1, 0.0),)
         config = OptimizerConfig(n_hops=0, max_local_evals=1, initial=initial, seed=0)
-        result = optimize(n4_instance, n4_scheme, 1, config, c_star=-4.0)
+        result = optimize(n4_instance, n4_scheme, 1, config)
         from qeopt.ansatz import run_ansatz
 
         direct = run_ansatz(n4_instance, n4_scheme, list(initial)).final_cost
@@ -46,33 +44,44 @@ class TestOptimize:
         rng = np.random.default_rng(seed)
         initial = (LayerParams(*rng.uniform(-1, 1, 3)),)
         config = OptimizerConfig(n_hops=2, max_local_evals=40, initial=initial, seed=seed)
-        result = optimize(n4_instance, n4_scheme, 1, config, c_star=-4.0)
+        result = optimize(n4_instance, n4_scheme, 1, config)
         from qeopt.ansatz import run_ansatz
 
         assert result.best_cost <= run_ansatz(n4_instance, n4_scheme, list(initial)).final_cost + 1e-12
 
     def test_deterministic(self, n4_instance, n4_scheme):
         config = OptimizerConfig(n_hops=3, max_local_evals=60, seed=7)
-        a = optimize(n4_instance, n4_scheme, 1, config, c_star=-4.0)
-        b = optimize(n4_instance, n4_scheme, 1, config, c_star=-4.0)
+        a = optimize(n4_instance, n4_scheme, 1, config)
+        b = optimize(n4_instance, n4_scheme, 1, config)
         assert a.best_cost == b.best_cost
         assert a.best_params == b.best_params
         assert a.eval_count == b.eval_count
 
     def test_history_is_monotone(self, n4_instance, n4_scheme):
         config = OptimizerConfig(n_hops=6, max_local_evals=80, seed=3)
-        result = optimize(n4_instance, n4_scheme, 2, config, c_star=-4.0)
+        result = optimize(n4_instance, n4_scheme, 2, config)
         history = np.array(result.history)
         assert (np.diff(history) <= 1e-12).all()
         assert result.best_cost == history[-1]
 
     def test_warm_start_monotone_in_p(self, n4_instance, n4_scheme):
         sched = warm_start_schedule(
-            n4_instance, n4_scheme, 3, OptimizerConfig(n_hops=4, seed=5), c_star=-4.0
+            n4_instance, n4_scheme, 3, OptimizerConfig(n_hops=4, seed=5)
         )
         costs = [sched[p].best_cost for p in (1, 2, 3)]
         assert costs[1] <= costs[0] + 1e-9
         assert costs[2] <= costs[1] + 1e-9
+
+    def test_schedule_solves_no_ground_truth(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the optimizer must not solve for C*")
+
+        monkeypatch.setattr("qeopt.problem.ground_truth", refuse)
+        inst = generate_sk(32, "pm1", seed=3)
+        sched = warm_start_schedule(inst, make_scheme(32, 4), 2,
+                                    OptimizerConfig(n_hops=1, max_local_evals=20, seed=1))
+        assert sorted(sched) == [1, 2]
+        assert not hasattr(optimizer, "ground_truth")
 
 
 class TestTransfer:
@@ -104,26 +113,29 @@ class TestTransfer:
 class TestConcentration:
     def test_single_instance_ensemble(self, n4_instance, n4_scheme):
         params = (LayerParams(3 * math.pi / 8, math.pi / 8, 0.0),)
-        result = concentration_experiment([n4_instance], n4_scheme, params)
-        assert isinstance(result, ConcentrationResult)
-        assert result.ratios.shape == (1,)
-        assert result.mean == pytest.approx(0.5, abs=1e-9)
-        assert result.stderr == 0.0
-        assert result.c_star_methods == ("brute_force",)
+        ratios = concentration_experiment([n4_instance], n4_scheme, params,
+                                          [ground_truth(n4_instance)])
+        assert ratios.shape == (1,)
+        assert ratios[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_ensemble_ratio_statistics(self):
         scheme = make_scheme(16, 4)
         instances = [generate_sk(16, "pm1", seed=s) for s in range(4)]
         params = (LayerParams(0.4, 0.1, 0.3), LayerParams(0.3, 0.05, -0.1))
-        result = concentration_experiment(instances, scheme, params)
-        assert result.ratios.shape == (4,)
-        assert (result.ratios <= 1.0 + 1e-9).all()
-        assert result.stderr > 0
+        records = [ground_truth(inst, seed=s) for s, inst in enumerate(instances)]
+        ratios = concentration_experiment(instances, scheme, params, records)
+        assert ratios.shape == (4,)
+        assert (ratios <= 1.0 + 1e-9).all()
+        assert ratios.std() > 0
 
     def test_size_mismatch_rejected(self, n4_instance):
         scheme = make_scheme(8, 2)
-        with pytest.raises(ValueError):
-            concentration_experiment([n4_instance], scheme, (LayerParams(0, 0, 0),))
+        params = (LayerParams(0, 0, 0),)
+        record = ground_truth(n4_instance)
+        with pytest.raises(ValueError, match="scheme size"):
+            concentration_experiment([n4_instance], scheme, params, [record])
+        with pytest.raises(ValueError, match="one-to-one"):
+            concentration_experiment([n4_instance] * 2, scheme, params, [record])
 
 
 class TestGammaScaling:
@@ -167,7 +179,7 @@ class TestConfigValidation:
     def test_initial_length_checked(self, n4_instance, n4_scheme):
         config = OptimizerConfig(initial=(LayerParams(0, 0, 0),))
         with pytest.raises(ValueError, match="layers"):
-            optimize(n4_instance, n4_scheme, 2, config, c_star=-4.0)
+            optimize(n4_instance, n4_scheme, 2, config)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +361,7 @@ class TestAgreementWithStrideLayout:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_optimize(self, n4_instance, n4_scheme, p, frozen):
         config = OptimizerConfig(n_hops=3, max_local_evals=40, freeze_gamma_bias=frozen, seed=p)
-        assert_same_result(optimize(n4_instance, n4_scheme, p, config, c_star=-4.0),
+        assert_same_result(optimize(n4_instance, n4_scheme, p, config),
                            _stride_optimize(n4_instance, n4_scheme, p, config))
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
@@ -357,7 +369,7 @@ class TestAgreementWithStrideLayout:
         scheme = make_scheme(16, 4)
         inst = generate_sk(16, "gaussian", seed=5)
         config = OptimizerConfig(n_hops=2, max_local_evals=40, freeze_gamma_bias=frozen, seed=4)
-        new = warm_start_schedule(inst, scheme, 3, config, c_star=-30.0)
+        new = warm_start_schedule(inst, scheme, 3, config)
         old = _stride_warm_start(inst, scheme, 3, config)
         assert sorted(new) == sorted(old) == [1, 2, 3]
         for p in new:

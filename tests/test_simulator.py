@@ -146,29 +146,32 @@ class TestDiagonal:
     def test_zero_gamma_identity(self):
         state = init_plus(2)
         before = state.amps.copy()
-        state.apply_diagonal_phase(np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
+        state.apply_diagonal_phase(DiagonalOperator(2, np.array([1.0, 2.0, 3.0, 4.0])), 0.0)
         np.testing.assert_array_equal(state.amps, before)
 
     def test_constant_diagonal_is_global_phase(self):
         rng = np.random.default_rng(1)
         state = random_state(rng, 3)
         probs = state.probabilities()
-        state.apply_diagonal_phase(np.full(8, 2.5), 0.63)
+        state.apply_diagonal_phase(DiagonalOperator(3, np.full(8, 2.5)), 0.63)
         np.testing.assert_allclose(state.probabilities(), probs, atol=1e-14)
 
     def test_fixture_layer_reaches_the_four_outcomes(self):
         # diagonal {+-2} pattern of the 4-variable example at its optimum
         entries = np.array([2, -2, -2, 2, 2, -2, -2, 2], dtype=float)
         state = init_plus(3)
-        state.apply_diagonal_phase(entries, np.pi / 8)
+        state.apply_diagonal_phase(DiagonalOperator(3, entries), np.pi / 8)
         state.apply_mixer(3 * np.pi / 8)
         probs = state.probabilities()
         np.testing.assert_allclose(probs[[0b001, 0b010, 0b101, 0b110]], 0.25, atol=1e-12)
         np.testing.assert_allclose(probs[[0b000, 0b011, 0b100, 0b111]], 0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            init_plus(2).apply_diagonal_phase(np.ones(8), 0.1)
+        diag = DiagonalOperator(3, np.ones(8))
+        with pytest.raises(ValueError, match="3 qubits"):
+            init_plus(2).apply_diagonal_phase(diag, 0.1)
+        with pytest.raises(ValueError, match="3 qubits"):
+            init_plus(2).expectation_diagonal(diag)
 
     def test_operator_validation(self):
         with pytest.raises(ValueError):
@@ -181,12 +184,12 @@ class TestExpectation:
     def test_all_ones_is_normalization(self):
         rng = np.random.default_rng(2)
         state = random_state(rng, 3)
-        assert state.expectation_diagonal(np.ones(8)) == pytest.approx(1.0, abs=1e-12)
+        assert state.expectation_diagonal(DiagonalOperator(3, np.ones(8))) == pytest.approx(1.0, abs=1e-12)
 
     def test_basis_state_reads_its_entry(self):
         state = Statevector(2)  # |00>
         entries = np.array([3.5, -1.0, 0.0, 2.0])
-        assert state.expectation_diagonal(entries) == pytest.approx(3.5)
+        assert state.expectation_diagonal(DiagonalOperator(2, entries)) == pytest.approx(3.5)
 
 
 class TestSampling:
@@ -234,5 +237,6 @@ def test_norm_preserved_by_random_gate_sequences(seed):
             a, b = rng.choice(q, size=2, replace=False)
             state.apply_iswap(int(a), int(b))
         else:
-            state.apply_diagonal_phase(rng.standard_normal(1 << q), float(rng.uniform(-1, 1)))
+            diag = DiagonalOperator(q, rng.standard_normal(1 << q))
+            state.apply_diagonal_phase(diag, float(rng.uniform(-1, 1)))
     assert abs(state.norm() - 1.0) < 1e-10
