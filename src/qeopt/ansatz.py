@@ -9,6 +9,16 @@ statistics need a fresh execution of the prefix with the earlier phase
 separators frozen, and a p-layer run costs p + 1 circuit executions. The
 simulated state never collapses, so both modes carry one statevector
 forward through the p layers and read the statistics between them.
+
+A prefix (``AnsatzPrefix``) is the exact state after k >= 0 frozen layers,
+its per-layer statistics and the phase separator of layer k + 1. At |+>
+(k = 0) all three depend only on the instance and the scheme, so exact-mode
+callers that evaluate many parameter points on one problem -- the optimizer,
+landscapes, gamma scans, the appended-layer grid with k = p - 1 -- build one
+prefix with ``prepare_prefix`` and pass it to ``run_ansatz`` as ``start``.
+The run then continues from a copy of the prefix state, and every value it
+reuses equals, bit for bit, the value a run from |+> recomputes. Shot mode
+samples layer 0 per seed and takes no prefix.
 """
 
 from __future__ import annotations
@@ -41,6 +51,20 @@ class LayerParams:
         for v in (self.beta, self.gamma, self.gamma_bias):
             if not np.isfinite(v):
                 raise ValueError(f"layer parameters must be finite, got {self}")
+
+
+@dataclass(frozen=True)
+class AnsatzPrefix:
+    """Exact state after the frozen ``layers`` (none: |+>), the statistics of
+    layers 0..k and the phase separator of the next layer. Its arrays are
+    read-only; ``run_ansatz`` works on a copy of the state."""
+
+    instance: SKInstance
+    scheme: EncodingScheme
+    layers: tuple[LayerParams, ...]
+    state: Statevector
+    layer_stats: tuple[GroupStats, ...]
+    separator: DiagonalOperator
 
 
 @dataclass
@@ -85,8 +109,14 @@ def run_ansatz(
     mode: str = "exact",
     n_shots: int | None = None,
     seed: int = 0,
+    start: AnsatzPrefix | None = None,
 ) -> AnsatzTrace:
-    """Execute the full ansatz, recording per-layer statistics and the final cost."""
+    """Execute the full ansatz, recording per-layer statistics and the final cost.
+
+    ``start`` (exact mode only) is a prefix of the same instance and scheme
+    whose frozen layers are the first layers of ``params``; the run resumes
+    after them and returns the trace a run from |+> returns.
+    """
     if instance.n_vars != scheme.n_vars:
         raise ValueError(
             f"instance has {instance.n_vars} variables, scheme encodes {scheme.n_vars}"
@@ -99,12 +129,18 @@ def run_ansatz(
     if shots and (n_shots is None or n_shots < 1):
         raise ValueError("shot mode needs n_shots >= 1")
 
-    state = init_plus(scheme.n_qubits)
-    layer_stats: list[GroupStats] = []
+    if start is None:
+        state, layer_stats, separator = init_plus(scheme.n_qubits), [], None
+    else:
+        _check_start(start, instance, scheme, params, shots)
+        state, layer_stats = start.state.copy(), list(start.layer_stats)
+        separator = start.separator
     counts = None
-    for k in range(len(params) + 1):
+    first = len(layer_stats)
+    for k in range(first, len(params) + 1):
         if k:
-            hamiltonian = build_cost_hamiltonian(instance, scheme, layer_stats[-1])
+            hamiltonian = (separator if k == first
+                           else build_cost_hamiltonian(instance, scheme, layer_stats[-1]))
             apply_layer(state, hamiltonian, params[k - 1])
         if shots:
             counts = state.sample(n_shots, seed=seed, key=("ansatz-layer", k))
@@ -120,6 +156,39 @@ def run_ansatz(
         final_state=None if shots else state,
         final_counts=counts,
     )
+
+
+def _check_start(start: AnsatzPrefix, instance: SKInstance, scheme: EncodingScheme,
+                 params: list[LayerParams], shots: bool) -> None:
+    if shots:
+        raise ValueError("a prefix is an exact-mode start; shot mode samples layer 0 per seed")
+    if start.instance is not instance or start.scheme != scheme:
+        raise ValueError("the prefix belongs to a different instance or scheme")
+    k = len(start.layers)
+    if tuple(params[:k]) != start.layers:
+        raise ValueError(f"the first {k} layer(s) of params must be the prefix's frozen layers")
+
+
+def prepare_prefix(
+    instance: SKInstance,
+    scheme: EncodingScheme,
+    layers: tuple[LayerParams, ...] | list[LayerParams] = (),
+) -> AnsatzPrefix:
+    """The exact prefix after the frozen ``layers``: |+> and its statistics
+    when there are none, else the final state of one ``run_ansatz`` call."""
+    layers = tuple(layers)
+    if layers:
+        trace = run_ansatz(instance, scheme, list(layers))
+        state, layer_stats = trace.final_state, tuple(trace.layer_stats)
+    else:
+        state = init_plus(scheme.n_qubits)
+        layer_stats = (exact_group_stats(scheme, state),)
+    separator = build_cost_hamiltonian(instance, scheme, layer_stats[-1])
+    state.amps.setflags(write=False)
+    for stats in layer_stats:
+        for array in (stats.p_label, stats.zbar, stats.corr_matrix, stats.observed):
+            array.setflags(write=False)
+    return AnsatzPrefix(instance, scheme, layers, state, layer_stats, separator)
 
 
 def landscape(
@@ -138,17 +207,18 @@ def landscape(
     if betas.size == 0 or gammas.size == 0:
         raise ValueError("parameter grids must be nonempty")
     grid = np.empty((betas.size, gammas.size))
+    start = prepare_prefix(instance, scheme) if mode == "exact" else None
     for bi, beta in enumerate(betas):
         for gi, gamma in enumerate(gammas):
-            trace = run_ansatz(
+            grid[bi, gi] = run_ansatz(
                 instance,
                 scheme,
                 [LayerParams(beta, gamma, gamma_bias)],
                 mode=mode,
                 n_shots=n_shots,
                 seed=_point_seed(seed, bi, gi),
-            )
-            grid[bi, gi] = trace.final_cost
+                start=start,
+            ).final_cost
     return grid
 
 

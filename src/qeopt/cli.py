@@ -9,7 +9,10 @@ invocation reproduces output files byte-for-byte. Exit codes: 0 success,
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -107,10 +110,33 @@ def _params_text(layers) -> str:
     return ";".join(f"{lp.beta:.17g},{lp.gamma:.17g},{lp.gamma_bias:.17g}" for lp in layers)
 
 
+# set in each worker's environment: a multi-threaded BLAS per worker
+# oversubscribes the cores the workers already share
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+@contextmanager
+def _environ(values: dict[str, str]):
+    saved = {key: os.environ.get(key) for key in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def _pmap(fn, items, jobs: int):
+    """``[fn(item) for item in items]``; with jobs > 1 in freshly spawned
+    worker processes whose BLAS runs one thread (this process's BLAS, loaded
+    already, keeps its own setting)."""
     if jobs <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with _environ(WORKER_ENV), ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, items))
 
 
@@ -495,7 +521,9 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
 @click.option("--gamma", type=float, default=0.39269908169872414, show_default=True)
 @click.option("--gamma-bias", type=float, default=0.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--fixture-n4", is_flag=True, help="Use the fixed 4-variable instance.")
+@click.option("--fixture-n4", is_flag=True,
+              help="Use the fixed 4-variable worked instance (needs --n 4) in place of a "
+                   "random pm1 instance drawn from --seed.")
 @click.option("--out", type=str, default=None,
               help="Native circuit listing [default: results/compiled_layer.txt].")
 def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
@@ -512,7 +540,7 @@ def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
         problems.append("--fixture-n4 needs --n 4")
     _fail_usage(problems)
     out_path = _resolve_out(out, "compiled_layer.txt")
-    inst = example_instance_n4() if (fixture_n4 or n == 4) else generate_sk(n, "pm1", seed=seed)
+    inst = example_instance_n4() if fixture_n4 else generate_sk(n, "pm1", seed=seed)
     scheme = make_scheme(n, d)
     stats = exact_group_stats(scheme, init_plus(scheme.n_qubits))
     native, deviation = compile_layer(inst, scheme, stats, LayerParams(beta, gamma, gamma_bias))

@@ -67,9 +67,17 @@ def _pair_columns(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
+def spin_value_table(d: int) -> np.ndarray:
+    """(2**d, d) read-only float64 copy of the basis spin table, cached per d."""
+    table = basis_spin_table(d).astype(np.float64)
+    table.setflags(write=False)
+    return table
+
+
+@cache
 def pair_product_table(d: int) -> np.ndarray:
     """(2**d, C(d,2)) read-only products s_a * s_b of the basis spin table, cached per d."""
-    spins = basis_spin_table(d).astype(np.float64)
+    spins = spin_value_table(d)
     pairs = data_pair_indices(d)
     table = np.empty((1 << d, len(pairs)))
     for idx, (a, b) in enumerate(pairs):
@@ -87,7 +95,7 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
         observed = p_label > OBSERVED_EPS
     denom = np.where(observed, p_label, 1.0)
 
-    spins = basis_spin_table(d).astype(np.float64)
+    spins = spin_value_table(d)
     zbar_mat = (grouped @ spins) / denom[:, None]
     corr_mat = (grouped @ pair_product_table(d)) / denom[:, None]
     zbar_mat[~observed] = 0.0
@@ -230,7 +238,7 @@ def build_cost_hamiltonian(
     """Materialize the state-dependent Hamiltonian as a dense diagonal."""
     intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
     d = scheme.group_size
-    spins = basis_spin_table(d).astype(np.float64)
+    spins = spin_value_table(d)
     block = pair_product_table(d) @ intra_w.T + spins @ h_mat.T  # (2**d, N/d)
     block = block / denom[None, :]
     block[:, ~stats.observed] = 0.0

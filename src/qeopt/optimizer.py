@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize as sciopt
 
-from qeopt.ansatz import LayerParams, run_ansatz
+from qeopt.ansatz import LayerParams, prepare_prefix, run_ansatz
 from qeopt.encoding import EncodingScheme
 from qeopt.problem import OptimumRecord, SKInstance, approximation_ratio
 from qeopt.rng import stream
@@ -61,12 +61,14 @@ class _CostFunction:
 
     The layers form a (p, 3) array of (beta, gamma, gamma') rows; the search
     sees its first ``width`` columns row by row, so a frozen gamma' (width 2)
-    stays at the initial guess, or 0.
+    stays at the initial guess, or 0. Every evaluation starts from one
+    zero-layer prefix.
     """
 
     def __init__(self, instance, scheme, p, config):
         self.instance = instance
         self.scheme = scheme
+        self.start = prepare_prefix(instance, scheme)
         self.p = p
         self.config = config
         self.eval_count = 0
@@ -103,7 +105,8 @@ class _CostFunction:
 
     def __call__(self, x: np.ndarray) -> float:
         self.eval_count += 1
-        trace = run_ansatz(self.instance, self.scheme, self.unpack(np.asarray(x)), mode="exact")
+        trace = run_ansatz(self.instance, self.scheme, self.unpack(np.asarray(x)), mode="exact",
+                           start=self.start)
         cost = trace.final_cost
         if cost < self.best_cost:
             self.best_cost = cost
@@ -193,15 +196,19 @@ def _best_appended_layer(
     """Coarse grid over one extra layer with the earlier layers frozen.
 
     The grid contains the all-zero layer, so seeding from the result keeps
-    the previous depth's cost attainable.
+    the previous depth's cost attainable. The frozen layers run once; each
+    grid point continues from a copy of their final state.
     """
     hint = gamma_scale_hint(scheme)
     betas = np.concatenate([[0.0, 0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
     gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, 0.5, 1, 2])])
     biases = [0.0] if config.freeze_gamma_bias else [-0.4, 0.0, 0.4]
 
+    start = prepare_prefix(instance, scheme, prev)
+
     def cost(layer: LayerParams) -> float:
-        return run_ansatz(instance, scheme, list(prev) + [layer], mode="exact").final_cost
+        return run_ansatz(instance, scheme, list(prev) + [layer], mode="exact",
+                          start=start).final_cost
 
     return _grid_argmin(cost, betas, gammas, biases)
 
@@ -272,10 +279,11 @@ def optimize_gamma_scale(
     winner is refined with a bounded scalar search.
     """
     scan = np.geomspace(0.02, 50.0, 81)
+    start = prepare_prefix(instance, scheme)
 
     def cost_at(theta: float) -> float:
         scaled = [LayerParams(lp.beta, theta * lp.gamma, lp.gamma_bias) for lp in donor_params]
-        return run_ansatz(instance, scheme, scaled, mode="exact").final_cost
+        return run_ansatz(instance, scheme, scaled, mode="exact", start=start).final_cost
 
     values = np.array([cost_at(t) for t in scan])
     k = int(np.argmin(values))

@@ -76,10 +76,11 @@ class Statevector:
         self._check_qubit(qubit)
         q = self.n_qubits
         view = self.amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :].copy()
-        view[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-        view[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
+        a0 = view[:, 0, :]
+        a1 = view[:, 1, :]
+        new0 = u[0, 0] * a0 + u[0, 1] * a1
+        a1[...] = u[1, 0] * a0 + u[1, 1] * a1
+        a0[...] = new0
 
     def apply_rx(self, qubit: int, theta: float) -> "Statevector":
         c, s = np.cos(theta / 2), np.sin(theta / 2)

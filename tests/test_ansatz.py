@@ -11,6 +11,7 @@ from qeopt.ansatz import (
     apply_layer,
     extract_solution,
     landscape,
+    prepare_prefix,
     run_ansatz,
 )
 from qeopt.encoding import make_scheme
@@ -267,6 +268,109 @@ class TestForwardPassAgreement:
             assert np.array_equal(got.p_label, want.p_label)
             assert np.array_equal(got.zbar, want.zbar)
             assert np.array_equal(got.corr_matrix, want.corr_matrix)
+
+
+def random_layers(rng, p):
+    return [LayerParams(float(rng.uniform(0, np.pi)), float(rng.uniform(-0.5, 0.5)),
+                        float(rng.uniform(-0.5, 0.5))) for _ in range(p)]
+
+
+def assert_same_stats(got, want):
+    assert np.array_equal(got.p_label, want.p_label)
+    assert np.array_equal(got.zbar, want.zbar)
+    assert np.array_equal(got.corr_matrix, want.corr_matrix)
+    assert np.array_equal(got.observed, want.observed)
+
+
+def assert_same_trace(got, want):
+    assert got.final_cost == want.final_cost
+    assert np.array_equal(got.final_state.amps, want.final_state.amps)
+    assert got.final_counts is None and want.final_counts is None
+    assert len(got.layer_stats) == len(want.layer_stats)
+    for got_stats, want_stats in zip(got.layer_stats, want.layer_stats):
+        assert_same_stats(got_stats, want_stats)
+
+
+class TestPrefixAgreement:
+    """A run resumed from a prefix returns the trace of the run from |+>, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(4, 2), (16, 4), (64, 4)], ids=lambda s: "%dx%d" % s)
+    def test_bit_identical_to_run_from_plus(self, shape, p):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        instance = generate_sk(n, "gaussian", seed=3 * n + p)
+        rng = np.random.default_rng(10 * n + p)
+        for _ in range(3):
+            params = random_layers(rng, p)
+            want = run_ansatz(instance, scheme, params)
+            for k in range(p + 1):
+                start = prepare_prefix(instance, scheme, params[:k])
+                assert start.layers == tuple(params[:k])
+                assert len(start.layer_stats) == k + 1
+                for got_stats, want_stats in zip(start.layer_stats, want.layer_stats):
+                    assert_same_stats(got_stats, want_stats)
+                separator = build_cost_hamiltonian(instance, scheme, want.layer_stats[k])
+                assert np.array_equal(start.separator.entries, separator.entries)
+                before = start.state.amps.copy()
+                assert_same_trace(run_ansatz(instance, scheme, params, start=start), want)
+                assert np.array_equal(start.state.amps, before)
+
+    def test_one_prefix_serves_many_points(self):
+        scheme = make_scheme(16, 4)
+        instance = generate_sk(16, "pm1", seed=8)
+        start = prepare_prefix(instance, scheme)
+        rng = np.random.default_rng(8)
+        for p in (1, 2, 3, 1, 2):
+            params = random_layers(rng, p)
+            assert_same_trace(run_ansatz(instance, scheme, params, start=start),
+                              run_ansatz(instance, scheme, params))
+
+    def test_prefix_is_read_only(self, n4_instance, n4_scheme):
+        start = prepare_prefix(n4_instance, n4_scheme, [LayerParams(0.3, 0.2, 0.1)])
+        assert not start.state.amps.flags.writeable
+        assert not start.separator.entries.flags.writeable
+        for stats in start.layer_stats:
+            assert not stats.zbar.flags.writeable
+            assert not stats.corr_matrix.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 2), (16, 4)], ids=lambda s: "%dx%d" % s)
+    def test_landscape_matches_independent_runs(self, shape):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        instance = generate_sk(n, "gaussian", seed=n)
+        betas, gammas = np.linspace(0, np.pi, 4), np.linspace(-1, 1, 5)
+        grid = landscape(instance, scheme, betas, gammas, gamma_bias=0.2)
+        for bi, beta in enumerate(betas):
+            for gi, gamma in enumerate(gammas):
+                trace = run_ansatz(instance, scheme, [LayerParams(beta, gamma, 0.2)])
+                assert grid[bi, gi] == trace.final_cost
+
+    def test_other_instance_rejected(self, n4_scheme):
+        start = prepare_prefix(generate_sk(4, "pm1", seed=1), n4_scheme)
+        with pytest.raises(ValueError, match="different instance"):
+            run_ansatz(generate_sk(4, "pm1", seed=2), n4_scheme, [LayerParams(0.3, 0.2)],
+                       start=start)
+
+    def test_other_scheme_rejected(self):
+        instance = generate_sk(8, "pm1", seed=1)
+        start = prepare_prefix(instance, make_scheme(8, 2))
+        with pytest.raises(ValueError, match="different instance or scheme"):
+            run_ansatz(instance, make_scheme(8, 4), [LayerParams(0.3, 0.2)], start=start)
+
+    def test_shot_mode_rejected(self, n4_instance, n4_scheme):
+        start = prepare_prefix(n4_instance, n4_scheme)
+        with pytest.raises(ValueError, match="shot mode"):
+            run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.2)], mode="shots",
+                       n_shots=100, start=start)
+
+    def test_params_must_extend_the_frozen_layers(self, n4_instance, n4_scheme):
+        frozen = [LayerParams(0.3, 0.2, 0.1), LayerParams(0.5, -0.1, 0.0)]
+        start = prepare_prefix(n4_instance, n4_scheme, frozen)
+        for params in ([frozen[0]], [frozen[1], frozen[0], frozen[1]],
+                       [frozen[0], LayerParams(0.5, -0.1, 0.01), frozen[1]]):
+            with pytest.raises(ValueError, match="frozen layers"):
+                run_ansatz(n4_instance, n4_scheme, params, start=start)
 
 
 class TestExtractSolution:

@@ -1,11 +1,15 @@
 import csv
+import ctypes
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qeopt import cli
 from qeopt.cli import main
 from qeopt.problem import SKInstance, example_instance_n4, generate_sk
 from qeopt.runfiles import read_instance, read_manifest, write_instance
@@ -261,6 +265,38 @@ class TestLandscape:
         assert outs[0] == outs[1]
 
 
+def blas_threads(_=None):
+    """This process's pid, BLAS environment and the thread count its loaded
+    OpenBLAS reports (None when numpy bundles no OpenBLAS)."""
+    threads = None
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                threads = getattr(handle, symbol)()
+                break
+    env = {key: os.environ.get(key) for key in cli.WORKER_ENV}
+    return os.getpid(), env, threads
+
+
+class TestWorkerPool:
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        for key in cli.WORKER_ENV:
+            monkeypatch.delenv(key, raising=False)
+        _, env_before, parent_threads = blas_threads()
+        results = cli._pmap(blas_threads, range(4), 2)
+        for pid, env, threads in results:
+            assert pid != os.getpid()
+            assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+            assert threads in (None, 1)
+        assert blas_threads() == (os.getpid(), env_before, parent_threads)
+
+    def test_one_job_runs_inline(self):
+        assert {pid for pid, _, _ in cli._pmap(blas_threads, range(3), 1)} == {os.getpid()}
+
+
 class TestEntropyCmd:
     def test_respects_schmidt_bound(self, runner, tmp_path):
         out = tmp_path / "ent.csv"
@@ -391,6 +427,10 @@ class TestShotsCmd:
         assert not out.exists()
 
 
+# sha256 of `compile-check --n 4 --d 2 --fixture-n4` at the default angles
+FIXTURE_LISTING_SHA256 = "c5df758903c698fe93a898b33e85410103e0dd22d85c7765e57ac07277aaf06a"
+
+
 class TestCompileCheckCmd:
     def test_reports_max_deviation(self, runner, tmp_path):
         out = tmp_path / "circ.txt"
@@ -404,6 +444,30 @@ class TestCompileCheckCmd:
         header, *lines = out.read_text().splitlines()
         assert header == "# circuit qubits=3"
         assert lines and {line.split(" ")[0] for line in lines} <= set(NATIVE_GATES)
+
+    def test_seed_selects_the_instance_at_n4(self, runner, tmp_path):
+        # at |+> only the intra-group weights w01 and w23 enter the layer:
+        # seed 1 draws (-1, -1), seed 3 draws (+1, -1)
+        listings = []
+        for seed in ("1", "3"):
+            out = tmp_path / f"seed{seed}.txt"
+            result = runner.invoke(main, [
+                "compile-check", "--n", "4", "--d", "2", "--seed", seed, "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            listings.append(out.read_bytes())
+        assert listings[0] != listings[1]
+
+    def test_fixture_listing_unchanged(self, runner, tmp_path):
+        out = tmp_path / "fixture.txt"
+        for seed in ("0", "5"):
+            result = runner.invoke(main, [
+                "compile-check", "--n", "4", "--d", "2", "--fixture-n4", "--seed", seed,
+                "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            assert "iswap=8, depth=42" in result.output
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXTURE_LISTING_SHA256
 
     def test_register_over_the_verification_cap_exits_3(self, runner, tmp_path):
         # N=24, d=12: q = 13 > VERIFY_QUBIT_CAP, refused before the reference is built

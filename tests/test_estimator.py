@@ -19,6 +19,7 @@ from qeopt.estimator import (
     exact_group_stats,
     pair_product_table,
     shot_group_stats,
+    spin_value_table,
 )
 from qeopt.problem import SKInstance, cost, generate_sk
 from qeopt.rng import stream
@@ -187,6 +188,35 @@ class TestPairTables:
         assert pair_product_table(d) is table and not table.flags.writeable
         for k, (a, b) in enumerate(data_pair_indices(d)):
             assert np.array_equal(table[:, k], spins[:, a] * spins[:, b])
+
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    def test_spin_value_table(self, d):
+        table = spin_value_table(d)
+        assert spin_value_table(d) is table and not table.flags.writeable
+        assert table.dtype == np.float64
+        assert np.array_equal(table, basis_spin_table(d).astype(np.float64))
+
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16)],
+                             ids=lambda s: "%dx%d" % s)
+    def test_stats_and_hamiltonian_bit_identical_to_per_call_table(self, shape):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        inst = generate_sk(n, "gaussian", seed=n * d)
+        probs = random_state(np.random.default_rng(n + d), scheme.n_qubits).probabilities()
+        got = _stats_from_probs(scheme, probs)
+        # the statistics and dense diagonal with the float table converted per call
+        spins = basis_spin_table(d).astype(np.float64)
+        grouped = probs.reshape(scheme.n_groups, 1 << d)
+        zbar = np.clip((grouped @ spins) / got.p_label[:, None], -1.0, 1.0).ravel()
+        corr = np.clip((grouped @ pair_product_table(d)) / got.p_label[:, None], -1.0, 1.0)
+        assert got.observed.all()
+        assert np.array_equal(got.zbar, zbar)
+        assert np.array_equal(got.corr_matrix, corr)
+        h_mat = cross_group_fields(inst, scheme, got).reshape(scheme.n_groups, d)
+        block = pair_product_table(d) @ _intra_weight_matrix(inst, scheme).T + spins @ h_mat.T
+        block = block / got.p_label[None, :]
+        assert np.array_equal(build_cost_hamiltonian(inst, scheme, got).entries, block.T.ravel())
 
 
 class TestCost:

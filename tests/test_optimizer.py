@@ -374,3 +374,62 @@ class TestAgreementWithStrideLayout:
         assert sorted(new) == sorted(old) == [1, 2, 3]
         for p in new:
             assert_same_result(new[p], old[p])
+
+
+# ---------------------------------------------------------------------------
+def _run_from_plus(*args, start=None, **kwargs):
+    """run_ansatz with the prefix dropped: every evaluation recomputes from |+>."""
+    return run_ansatz(*args, **kwargs)
+
+
+class TestPrefixAgreement:
+    """The prefix-reusing search returns what the full recomputation returns, bit for bit."""
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    @pytest.mark.parametrize("shape", [(16, 4), (64, 4)], ids=lambda s: "%dx%d" % s)
+    def test_appended_layer_grid(self, shape, frozen):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        inst = generate_sk(n, "gaussian", seed=n + frozen)
+        config = OptimizerConfig(freeze_gamma_bias=frozen)
+        rng = np.random.default_rng(n)
+        for k in (1, 2):
+            prev = tuple(LayerParams(*v) for v in rng.uniform(-0.5, 0.5, (k, 3)))
+            assert (optimizer._best_appended_layer(inst, scheme, prev, config)
+                    == _loop_appended_layer(inst, scheme, prev, config))
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_optimize(self, monkeypatch, p, frozen):
+        scheme = make_scheme(16, 4)
+        inst = generate_sk(16, "pm1", seed=p)
+        config = OptimizerConfig(n_hops=2, max_local_evals=40, freeze_gamma_bias=frozen, seed=p)
+        new = optimize(inst, scheme, p, config)
+        monkeypatch.setattr(optimizer, "run_ansatz", _run_from_plus)
+        old = optimize(inst, scheme, p, config)
+        assert_same_result(new, (old.best_params, old.best_cost, old.eval_count, old.history))
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    @pytest.mark.parametrize("shape", [(16, 4), (64, 4)], ids=lambda s: "%dx%d" % s)
+    def test_warm_start_schedule(self, monkeypatch, shape, frozen):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        inst = generate_sk(n, "gaussian", seed=n + 1)
+        config = OptimizerConfig(n_hops=2, max_local_evals=40, freeze_gamma_bias=frozen, seed=3)
+        new = warm_start_schedule(inst, scheme, 3, config)
+        monkeypatch.setattr(optimizer, "run_ansatz", _run_from_plus)
+        old = warm_start_schedule(inst, scheme, 3, config)
+        assert sorted(new) == sorted(old) == [1, 2, 3]
+        for p in new:
+            assert_same_result(new[p], (old[p].best_params, old[p].best_cost,
+                                        old[p].eval_count, old[p].history))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (16, 4), (64, 4)], ids=lambda s: "%dx%d" % s)
+    def test_optimize_gamma_scale(self, monkeypatch, shape):
+        n, d = shape
+        scheme = make_scheme(n, d)
+        inst = generate_sk(n, "pm1", seed=n)
+        donor = (LayerParams(0.4, 0.1, 0.05), LayerParams(0.3, -0.2, 0.0))
+        new = optimize_gamma_scale(inst, scheme, donor)
+        monkeypatch.setattr(optimizer, "run_ansatz", _run_from_plus)
+        assert new == optimize_gamma_scale(inst, scheme, donor)

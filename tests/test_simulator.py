@@ -40,6 +40,16 @@ def random_state(rng, n):
     return Statevector(n, amps / np.linalg.norm(amps))
 
 
+def copying_apply_1q(amps, qubit, u):
+    """The single-qubit kernel as it was: both half-states copied before the update."""
+    q = amps.size.bit_length() - 1
+    view = amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :].copy()
+    view[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
+    view[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
+
+
 class TestInitPlus:
     def test_single_qubit(self):
         np.testing.assert_allclose(init_plus(1).amps, [2**-0.5, 2**-0.5])
@@ -116,6 +126,30 @@ class TestGateOracle:
         X = np.array([[0, 1], [1, 0]], dtype=complex)
         expected = kron_embed_1q(X, 1, 3) @ state.amps
         np.testing.assert_allclose(state.copy().apply_x(1).amps, expected, atol=1e-14)
+
+
+class TestCopyFreeKernel:
+    """The in-place single-qubit update gives the copying kernel's amplitudes bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bit_identical_to_copying_kernel(self, n):
+        rng = np.random.default_rng(n)
+        for qubit in range(n):
+            for _ in range(3):
+                theta = rng.uniform(-4 * np.pi, 4 * np.pi)
+                a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                general = np.array([[a, -np.conj(b)], [b, np.conj(a)]]) / np.hypot(abs(a), abs(b))
+                for u in (RX(theta), general):
+                    state = random_state(rng, n)
+                    want = state.amps.copy()
+                    copying_apply_1q(want, qubit, u)
+                    state._apply_1q(qubit, u)
+                    assert np.array_equal(state.amps, want)
+                state = random_state(rng, n)
+                want = state.amps.copy()
+                copying_apply_1q(want, qubit, RX(theta))
+                state.apply_rx(qubit, theta)
+                assert np.array_equal(state.amps, want)
 
 
 class TestMixer:
