@@ -201,7 +201,12 @@ def landscape(
     n_shots: int | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Single-layer cost over a (beta, gamma) grid at fixed bias angle."""
+    """Single-layer cost over a (beta, gamma) grid at fixed bias angle.
+
+    In shot mode row r of the grid at ``seed`` s is row 0 of the grid at
+    seed s + r, so a grid split into row blocks, each started at seed
+    s + (its first row), gives the whole grid's values.
+    """
     betas = np.atleast_1d(np.asarray(betas, dtype=np.float64))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
     if betas.size == 0 or gammas.size == 0:
@@ -223,7 +228,7 @@ def landscape(
 
 
 def _point_seed(seed: int, bi: int, gi: int) -> int:
-    return (seed * 1_000_003 + bi * 1009 + gi) & 0x7FFFFFFF
+    return ((seed + bi) * 1_000_003 + gi) & 0x7FFFFFFF
 
 
 def extract_solution(trace: AnsatzTrace, seed: int = 0) -> tuple[np.ndarray, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
@@ -24,7 +25,7 @@ from qeopt import optimizer as opt
 from qeopt import runfiles
 from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
 from qeopt.compiler import compile_layer, dumps
-from qeopt.encoding import make_scheme
+from qeopt.encoding import is_pow2_multiple, make_scheme
 from qeopt.estimator import exact_group_stats
 from qeopt.problem import (approximation_ratio, example_instance_n4, generate_sk, ground_truth,
                            pad_instance)
@@ -36,14 +37,28 @@ class RuntimeFailure(click.ClickException):
     exit_code = 3
 
 
-def _fail_usage(problems: list[str]) -> None:
-    if problems:
-        raise click.UsageError("; ".join(problems))
+# smallest accepted value of each integer flag, by parameter name
+FLAG_MINIMA = {"n": 2, "count": 1, "d": 1, "p": 1, "hops": 0, "local_evals": 1,
+               "beta_steps": 1, "gamma_steps": 1, "samples": 1, "replicas": 2, "jobs": 1}
 
 
-def _pow2_quotient(n: int, d: int) -> bool:
-    """Whether groups of d split N variables into a power-of-two number of labels."""
-    return d >= 1 and n % d == 0 and (n // d) & (n // d - 1) == 0
+def _fail_usage(problems: Sequence[str] = ()) -> None:
+    """Exit 2 with one line naming every bad flag of the running command: an
+    integer flag below its ``FLAG_MINIMA`` entry, a non-finite float flag,
+    ``--mode shots`` without ``--shots`` >= 1, then the command's own
+    cross-flag ``problems``."""
+    ctx = click.get_current_context()
+    found = []
+    for param in ctx.command.params:
+        value, flag = ctx.params[param.name], param.opts[0]
+        if param.name in FLAG_MINIMA and value < FLAG_MINIMA[param.name]:
+            found.append(f"{flag} must be >= {FLAG_MINIMA[param.name]}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            found.append(f"{flag} must be finite")
+    if ctx.params.get("mode") == "shots" and (ctx.params["shots"] or 0) < 1:
+        found.append("--shots must be >= 1 when --mode shots")
+    if found or problems:
+        raise click.UsageError("; ".join([*found, *problems]))
 
 
 def _resolve_out(out: str | None, default_name: str) -> Path:
@@ -130,13 +145,14 @@ def _environ(values: dict[str, str]):
 
 
 def _pmap(fn, items, jobs: int):
-    """``[fn(item) for item in items]``; with jobs > 1 in freshly spawned
-    worker processes whose BLAS runs one thread (this process's BLAS, loaded
-    already, keeps its own setting)."""
-    if jobs <= 1:
+    """``[fn(item) for item in items]``; with more than one job and item, in
+    at most ``jobs`` freshly spawned worker processes whose BLAS runs one
+    thread (this process's BLAS, loaded already, keeps its own setting)."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with _environ(WORKER_ENV), ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, items))
 
 
@@ -170,12 +186,7 @@ def main():
 @click.option("--out", type=str, default=None, help="Output directory [default: results/instances].")
 def generate(n, kind, count, seed, fixture_n4, out):
     """Write SK instance files (one file per instance, derived per-instance seeds)."""
-    problems = []
-    if n < 2:
-        problems.append("--n must be >= 2")
-    if count < 1:
-        problems.append("--count must be >= 1")
-    _fail_usage(problems)
+    _fail_usage()
     out_dir = Path(out) if out else runfiles.default_out_dir() / "instances"
     out_dir.mkdir(parents=True, exist_ok=True)
     if fixture_n4:
@@ -215,18 +226,7 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
     rounded_ratio, params (semicolon-joined beta,gamma,gamma_bias triples),
     solution (+-1 string).
     """
-    problems = []
-    if p < 1:
-        problems.append("--p must be >= 1")
-    if mode == "shots" and (shots is None or shots < 1):
-        problems.append("--shots must be >= 1 when --mode shots")
-    if d < 1:
-        problems.append("--d must be >= 1")
-    if hops < 0:
-        problems.append("--hops must be >= 0")
-    if local_evals < 1:
-        problems.append("--local-evals must be >= 1")
-    _fail_usage(problems)
+    _fail_usage()
     out_path = _resolve_out(out, "solve.csv")
     inst, scheme = _load_instance(instance_path, d, allow_padding)
     record = ground_truth(inst, seed=seed)
@@ -262,12 +262,10 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
 
 
 # ---------------------------------------------------------------------------
-def _landscape_row(inst, scheme, gammas, gamma_bias, mode, shots, seed, beta_row):
-    bi, beta = beta_row
-    row = landscape(inst, scheme, np.array([beta]), gammas,
-                    gamma_bias=gamma_bias, mode=mode, n_shots=shots,
-                    seed=seed * 100_003 + bi)
-    return row[0]
+def _landscape_block(grid: dict, block):
+    """``landscape`` over one block of beta rows; ``grid`` holds its other arguments."""
+    betas, seed = block
+    return landscape(betas=betas, seed=seed, **grid)
 
 
 @main.command("landscape")
@@ -286,27 +284,23 @@ def landscape_cmd(instance_path, d, beta_steps, gamma_steps, gamma_bias, mode, s
     """Single-layer cost over a (beta, gamma) grid.
 
     CSV columns: beta, gamma, cost. beta spans [0, pi], gamma spans [-pi, pi].
+    The beta rows split into one contiguous block per job; the output does
+    not depend on --jobs.
     """
-    problems = []
-    if beta_steps < 1 or gamma_steps < 1:
-        problems.append("grid steps must be >= 1")
-    if mode == "shots" and (shots is None or shots < 1):
-        problems.append("--shots must be >= 1 when --mode shots")
-    if d < 1:
-        problems.append("--d must be >= 1")
-    if jobs < 1:
-        problems.append("--jobs must be >= 1")
-    _fail_usage(problems)
+    _fail_usage()
     out_path = _resolve_out(out, "landscape.csv")
     betas = np.linspace(0.0, math.pi, beta_steps)
     gammas = np.linspace(-math.pi, math.pi, gamma_steps)
     inst, scheme = _load_instance(instance_path, d, allow_padding=False)
-    row_fn = partial(_landscape_row, inst, scheme, gammas, gamma_bias, mode, shots, seed)
-    grid_rows = _pmap(row_fn, list(enumerate(betas.tolist())), jobs)
-    rows = []
-    for beta, grid_row in zip(betas, grid_rows):
-        for gamma, cost in zip(gammas, grid_row):
-            rows.append([beta, gamma, cost])
+    grid = dict(instance=inst, scheme=scheme, gammas=gammas, gamma_bias=gamma_bias,
+                mode=mode, n_shots=shots)
+    # the block from row r runs at seed * 100_003 + r, which gives each row
+    # the shot seeds of a one-row grid at seed * 100_003 + (its row)
+    blocks = [(betas[rows], seed * 100_003 + int(rows[0]))
+              for rows in np.array_split(np.arange(beta_steps), min(jobs, beta_steps))]
+    costs = np.vstack(_pmap(partial(_landscape_block, grid), blocks, jobs))
+    rows = [[beta, gamma, cost] for beta, cost_row in zip(betas, costs)
+            for gamma, cost in zip(gammas, cost_row)]
     runfiles.write_csv(out_path, ["beta", "gamma", "cost"], rows)
     _emit([instance_path], out_path)
     click.echo(f"wrote {out_path}")
@@ -328,13 +322,8 @@ def entropy(n, d_list, samples, seed, out):
         ds = [int(v) for v in d_list.split(",")]
     except ValueError:
         raise click.UsageError(f"--d-list must be comma-separated ints, got {d_list!r}")
-    problems = [f"d={d} does not divide N={n} with a power-of-two quotient"
-                for d in ds if not _pow2_quotient(n, d)]
-    if n < 2:
-        problems.append("--n must be >= 2")
-    if samples < 1:
-        problems.append("--samples must be >= 1")
-    _fail_usage(problems)
+    _fail_usage([f"d={d} does not divide N={n} with a power-of-two quotient"
+                 for d in ds if not is_pow2_multiple(n, d)])
     out_path = _resolve_out(out, "entropy.csv")
     profile = ana.entropy_profile(n, ds, n_samples=samples, seed=seed)
     rows = [
@@ -361,17 +350,16 @@ def baseline(instance_paths, d, r_star, seed, out):
     CSV columns: instance, n_vars, d, baseline_cost, c_star, c_star_method,
     baseline_ratio, asymptotic_ratio_p<P> (one column per supplied r*(p)).
     """
-    problems = []
-    if d < 1:
-        problems.append("--d must be >= 1")
-    table = {}
+    pairs, problems = [], []
     if r_star:
         try:
-            for part in r_star.split(","):
-                key, _, val = part.partition(":")
-                table[int(key)] = float(val)
+            pairs = [(int(key), float(val))
+                     for key, _, val in (part.partition(":") for part in r_star.split(","))]
         except ValueError:
             raise click.UsageError(f"--r-star must look like '1:0.3,2:0.41', got {r_star!r}")
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        problems.append("--r-star lists a depth more than once")
     try:
         btable = ana.BaselineTable(table) if table else None
     except ValueError as exc:
@@ -419,10 +407,6 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
         problems.append("--shot-counts budgets must be >= 1")
     if len(set(counts)) < 2:
         problems.append("--shot-counts needs at least two distinct budgets for the slope")
-    if replicas < 2:
-        problems.append("--replicas must be >= 2")
-    if d < 1:
-        problems.append("--d must be >= 1")
     _fail_usage(problems)
     out_path = _resolve_out(out, "shots.csv")
     inst, scheme = _load_instance(instance_path, d, allow_padding=False)
@@ -466,19 +450,10 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     """Reuse donor-optimized parameters across an ensemble (gamma rescaled by
     (d1/d0)(N0/N1)^(3/2) when target sizes differ).
 
-    CSV columns: instance, n_vars, d, p, cost, c_star, c_star_method, ratio,
-    donor_ratio, params.
+    CSV columns: instance, n_vars, d, p (the layers used), cost, c_star,
+    c_star_method, ratio, donor_ratio, params.
     """
-    problems = []
-    if p < 1:
-        problems.append("--p must be >= 1")
-    if d < 1:
-        problems.append("--d must be >= 1")
-    if hops < 0:
-        problems.append("--hops must be >= 0")
-    if jobs < 1:
-        problems.append("--jobs must be >= 1")
-    _fail_usage(problems)
+    _fail_usage()
     layers = tuple(_parse_params(donor_params)) if donor_params else None
     out_path = _resolve_out(out, "transfer.csv")
     donor_inst, donor_scheme = _load_instance(donor_instance, d, allow_padding=False)
@@ -498,7 +473,7 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
         tasks.append((target, scheme, scaled))
     results = _pmap(partial(_concentration_worker, seed), tasks, jobs)
     rows = [
-        [Path(path).name, target.n_vars, d, p, cost, c_star, method,
+        [Path(path).name, target.n_vars, d, len(layers), cost, c_star, method,
          approximation_ratio(cost, c_star), donor_ratio, _params_text(scaled)]
         for path, (target, _, scaled), (cost, c_star, method) in zip(target_paths, tasks, results)
     ]
@@ -530,11 +505,7 @@ def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
     """Compile one full layer (phase separator + bias + mixer) to native gates
     and verify it against the ideal unitary; prints the max deviation."""
     problems = []
-    if n < 2:
-        problems.append("--n must be >= 2")
-    if d < 1:
-        problems.append("--d must be >= 1")
-    elif not _pow2_quotient(n, d):
+    if d >= 1 and not is_pow2_multiple(n, d):  # a --d below 1 has its own message
         problems.append(f"--d {d} does not divide --n {n} with a power-of-two quotient")
     if fixture_n4 and n != 4:
         problems.append("--fixture-n4 needs --n 4")

@@ -60,7 +60,7 @@ def make_scheme(n_vars: int, group_size: int, allow_padding: bool = False) -> En
 
     d = group_size
     padded_n = n_vars
-    if not _is_pow2_multiple(n_vars, d):
+    if not is_pow2_multiple(n_vars, d):
         if not allow_padding:
             raise ValueError(
                 f"N/d must be a power of two: N={n_vars}, d={d} "
@@ -78,8 +78,9 @@ def make_scheme(n_vars: int, group_size: int, allow_padding: bool = False) -> En
     )
 
 
-def _is_pow2_multiple(n: int, d: int) -> bool:
-    if n % d != 0:
+def is_pow2_multiple(n: int, d: int) -> bool:
+    """Whether groups of d >= 1 split n variables into a power-of-two number of labels."""
+    if d < 1 or n % d != 0:
         return False
     q = n // d
     return q & (q - 1) == 0

@@ -71,6 +71,19 @@ class TestLandscapeIdentity:
         # binomial error through the cost assembly: ~ N_terms / sqrt(shots)
         assert np.abs(noisy - exact).max() < 5 * 6 / np.sqrt(10_000)
 
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    def test_rows_from_a_later_seed(self, mode):
+        # row r at seed s is row 0 at seed s + r, so row blocks reassemble the grid
+        scheme = make_scheme(16, 4)
+        instance = generate_sk(16, "gaussian", seed=3)
+        betas, gammas = np.linspace(0, np.pi, 5), np.linspace(-1, 1, 3)
+        full = landscape(instance, scheme, betas, gammas, gamma_bias=0.1, mode=mode,
+                         n_shots=200, seed=11)
+        for a in range(1, betas.size):
+            rows = landscape(instance, scheme, betas[a:], gammas, gamma_bias=0.1, mode=mode,
+                             n_shots=200, seed=11 + a)
+            assert np.array_equal(rows, full[a:])
+
     def test_empty_grid_rejected(self, n4_instance, n4_scheme):
         with pytest.raises(ValueError):
             landscape(n4_instance, n4_scheme, np.array([]), np.array([0.1]))

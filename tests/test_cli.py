@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qeopt.ansatz
 from qeopt import cli
 from qeopt.cli import main
 from qeopt.problem import SKInstance, example_instance_n4, generate_sk
@@ -264,6 +265,36 @@ class TestLandscape:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_parallel_jobs_identical_output_in_shot_mode(self, runner, fixture_file, tmp_path):
+        # uneven blocks at --jobs 3; the bytes are those of the per-row seeds
+        # (--seed * 100003 + row) that earlier manifests replay
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"j{jobs}.csv"
+            result = runner.invoke(main, [
+                "landscape", "--instance", str(fixture_file), "--d", "2", "--beta-steps", "5",
+                "--gamma-steps", "3", "--mode", "shots", "--shots", "200", "--seed", "4",
+                "--jobs", jobs, "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == SHOT_LANDSCAPE_SHA256
+
+    def test_one_prefix_per_run(self, runner, fixture_file, tmp_path, monkeypatch):
+        built = []
+        prepare = qeopt.ansatz.prepare_prefix
+        monkeypatch.setattr(qeopt.ansatz, "prepare_prefix",
+                            lambda *args: built.append(args) or prepare(*args))
+        result = runner.invoke(main, [
+            "landscape", "--instance", str(fixture_file), "--d", "2", "--beta-steps", "5",
+            "--gamma-steps", "3", "--jobs", "1", "--out", str(tmp_path / "land.csv"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(built) == 1
+
+
+# sha256 of `landscape --d 2 --beta-steps 5 --gamma-steps 3 --mode shots --shots 200
+# --seed 4` on the 4-variable fixture
+SHOT_LANDSCAPE_SHA256 = "4f711ac61774f70504f1843c4a7a4838bd458619b12341ce07cd3079af8b64ec"
+
 
 def blas_threads(_=None):
     """This process's pid, BLAS environment and the thread count its loaded
@@ -295,6 +326,9 @@ class TestWorkerPool:
 
     def test_one_job_runs_inline(self):
         assert {pid for pid, _, _ in cli._pmap(blas_threads, range(3), 1)} == {os.getpid()}
+
+    def test_one_item_runs_inline(self):
+        assert {pid for pid, _, _ in cli._pmap(blas_threads, range(1), 2)} == {os.getpid()}
 
 
 class TestEntropyCmd:
@@ -499,6 +533,20 @@ class TestTransferCmd:
         ratios = [float(l.split(",")[7]) for l in lines[1:]]
         assert all(r <= 1.0 + 1e-9 for r in ratios)
 
+    @pytest.mark.parametrize("donor_params, p", [
+        ("0.4,0.05,0.3", "1"), ("0.4,0.05,0.3;0.2,-0.1,0", "2"),
+    ])
+    def test_p_column_counts_the_donor_layers(self, runner, fixture_file, tmp_path,
+                                              donor_params, p):
+        out = tmp_path / "t.csv"
+        result = runner.invoke(main, [
+            "transfer", "--donor-instance", str(fixture_file), "--target-instance",
+            str(fixture_file), "--d", "2", "--donor-params", donor_params, "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        (row,) = read_rows(out)
+        assert row["p"] == p
+
     def test_bad_donor_params_exit_2(self, runner, fixture_file, tmp_path):
         result = runner.invoke(main, [
             "transfer", "--donor-instance", str(fixture_file), "--target-instance",
@@ -654,6 +702,20 @@ BAD_FLAG_CASES = {
     "baseline-r-star-depth-zero": lambda inst, out: (
         ["baseline", "--instance", inst, "--d", "2", "--r-star", "0:0.5", "--out", out],
         "depths must be >= 1"),
+    "baseline-r-star-repeated-depth": lambda inst, out: (
+        ["baseline", "--instance", inst, "--d", "2", "--r-star", "1:0.5,1:0.9", "--out", out],
+        "--r-star lists a depth more than once"),
+    "entropy-zero-d": lambda inst, out: (
+        ["entropy", "--n", "64", "--d-list", "0,4", "--out", out], "d=0 does not divide N=64"),
+    "compile-check-nan-gamma": lambda inst, out: (
+        ["compile-check", "--gamma", "nan", "--out", out], "--gamma must be finite"),
+    "compile-check-inf-beta": lambda inst, out: (
+        ["compile-check", "--beta", "inf", "--out", out], "--beta must be finite"),
+    "compile-check-nan-gamma-bias": lambda inst, out: (
+        ["compile-check", "--gamma-bias", "-inf", "--out", out], "--gamma-bias must be finite"),
+    "landscape-nan-gamma-bias": lambda inst, out: (
+        ["landscape", "--instance", inst, "--d", "2", "--beta-steps", "2", "--gamma-steps", "2",
+         "--gamma-bias", "nan", "--out", out], "--gamma-bias must be finite"),
 }
 
 
@@ -664,6 +726,50 @@ def test_bad_flag_value_exits_2(runner, fixture_file, tmp_path, case):
     result = runner.invoke(main, argv)
     assert result.exit_code == 2, result.output
     assert one_error_line(result) and message in result.output
+    assert not out.exists()
+
+
+# a valid invocation of each command with integer flags in cli.FLAG_MINIMA
+VALID_ARGV = {
+    "generate": lambda inst, out: ["generate", "--n", "8", "--count", "1", "--out", out],
+    "solve": lambda inst, out: [
+        "solve", "--instance", inst, "--d", "2", "--p", "1", "--hops", "1",
+        "--local-evals", "20", "--out", out],
+    "landscape": lambda inst, out: [
+        "landscape", "--instance", inst, "--d", "2", "--beta-steps", "2", "--gamma-steps", "2",
+        "--jobs", "1", "--out", out],
+    "entropy": lambda inst, out: [
+        "entropy", "--n", "64", "--d-list", "2", "--samples", "2", "--out", out],
+    "baseline": lambda inst, out: ["baseline", "--instance", inst, "--d", "2", "--out", out],
+    "shots": lambda inst, out: [
+        "shots", "--instance", inst, "--d", "2", "--params", "0.5,0.2,0.1",
+        "--shot-counts", "50,100", "--replicas", "3", "--out", out],
+    "transfer": lambda inst, out: [
+        "transfer", "--donor-instance", inst, "--target-instance", inst, "--d", "2", "--p", "1",
+        "--donor-params", "0.4,0.05,0.3", "--hops", "1", "--jobs", "1", "--out", out],
+    "compile-check": lambda inst, out: ["compile-check", "--n", "4", "--d", "2", "--out", out],
+}
+
+# (command, flag, minimum) for every integer flag of every command in cli.FLAG_MINIMA
+MINIMUM_CASES = [
+    (name, param.opts[0], cli.FLAG_MINIMA[param.name])
+    for name, command in sorted(main.commands.items())
+    for param in command.params if param.name in cli.FLAG_MINIMA
+]
+
+
+@pytest.mark.parametrize("command, flag, minimum", MINIMUM_CASES,
+                         ids=[f"{name}{flag}" for name, flag, _ in MINIMUM_CASES])
+def test_flag_below_its_minimum_exits_2(runner, fixture_file, tmp_path, command, flag, minimum):
+    out = tmp_path / "out"
+    argv = VALID_ARGV[command](str(fixture_file), str(out))
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(minimum - 1)
+    else:
+        argv += [flag, str(minimum - 1)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert one_error_line(result) and f"{flag} must be >= {minimum}" in result.output
     assert not out.exists()
 
 
