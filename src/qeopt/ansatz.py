@@ -19,6 +19,11 @@ prefix with ``prepare_prefix`` and pass it to ``run_ansatz`` as ``start``.
 The run then continues from a copy of the prefix state, and every value it
 reuses equals, bit for bit, the value a run from |+> recomputes. Shot mode
 samples layer 0 per seed and takes no prefix.
+
+A grid over one layer appended to a prefix -- the exact single-layer
+landscape (k = 0) and the optimizer's appended-layer grid -- goes through
+``appended_layer_grid``, which applies the phase and the bias once per
+(gamma, gamma') pair and mixes a copy of that state for every beta.
 """
 
 from __future__ import annotations
@@ -94,11 +99,17 @@ def apply_layer(
     zero-magnetization ground-state patterns), so the register-wide field is
     load-bearing for symmetry breaking at small depth.
     """
-    state.apply_diagonal_phase(hamiltonian, layer.gamma)
-    if layer.gamma_bias != 0.0:
+    return _phase_and_bias(state, hamiltonian, layer.gamma, layer.gamma_bias).apply_mixer(
+        layer.beta)
+
+
+def _phase_and_bias(state: Statevector, hamiltonian: DiagonalOperator, gamma: float,
+                    gamma_bias: float) -> Statevector:
+    """The first two factors of a layer, exp(i gamma' H_z) exp(i gamma H), in place."""
+    state.apply_diagonal_phase(hamiltonian, gamma)
+    if gamma_bias != 0.0:
         for qubit in range(state.n_qubits):
-            state.apply_rz(qubit, -2.0 * layer.gamma_bias)
-    state.apply_mixer(layer.beta)
+            state.apply_rz(qubit, -2.0 * gamma_bias)
     return state
 
 
@@ -191,6 +202,36 @@ def prepare_prefix(
     return AnsatzPrefix(instance, scheme, layers, state, layer_stats, separator)
 
 
+def appended_layer_grid(
+    start: AnsatzPrefix,
+    betas: np.ndarray,
+    gammas: np.ndarray,
+    biases: np.ndarray,
+) -> np.ndarray:
+    """Exact cost of the prefix's frozen layers plus one more layer, over the
+    (beta, gamma, gamma') grid.
+
+    Entry [i, j, k] equals ``run_ansatz(instance, scheme, list(start.layers)
+    + [LayerParams(betas[i], gammas[j], biases[k])], start=start).final_cost``
+    bit for bit: each point runs the same kernels on the same bits. The phase
+    and the bias of a (gamma, gamma') pair run once, on one copy of the prefix
+    state; each beta mixes its own copy of that phased state.
+    """
+    axes = [np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (betas, gammas, biases)]
+    if not all(np.all(np.isfinite(a)) for a in axes):
+        raise ValueError("layer parameters must be finite")
+    betas, gammas, biases = axes
+    instance, scheme = start.instance, start.scheme
+    costs = np.empty((betas.size, gammas.size, biases.size))
+    for j, gamma in enumerate(gammas):
+        for k, bias in enumerate(biases):
+            phased = _phase_and_bias(start.state.copy(), start.separator, gamma, bias)
+            for i, beta in enumerate(betas):
+                stats = exact_group_stats(scheme, phased.copy().apply_mixer(beta))
+                costs[i, j, k] = estimate_cost(instance, scheme, stats).total
+    return costs
+
+
 def landscape(
     instance: SKInstance,
     scheme: EncodingScheme,
@@ -211,8 +252,10 @@ def landscape(
     gammas = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
     if betas.size == 0 or gammas.size == 0:
         raise ValueError("parameter grids must be nonempty")
+    if mode == "exact":
+        grid = appended_layer_grid(prepare_prefix(instance, scheme), betas, gammas, [gamma_bias])
+        return grid.reshape(betas.size, gammas.size)
     grid = np.empty((betas.size, gammas.size))
-    start = prepare_prefix(instance, scheme) if mode == "exact" else None
     for bi, beta in enumerate(betas):
         for gi, gamma in enumerate(gammas):
             grid[bi, gi] = run_ansatz(
@@ -222,7 +265,6 @@ def landscape(
                 mode=mode,
                 n_shots=n_shots,
                 seed=_point_seed(seed, bi, gi),
-                start=start,
             ).final_cost
     return grid
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize as sciopt
 
-from qeopt.ansatz import LayerParams, prepare_prefix, run_ansatz
+from qeopt.ansatz import LayerParams, appended_layer_grid, prepare_prefix, run_ansatz
 from qeopt.encoding import EncodingScheme
 from qeopt.problem import OptimumRecord, SKInstance, approximation_ratio
 from qeopt.rng import stream
@@ -196,21 +196,19 @@ def _best_appended_layer(
     """Coarse grid over one extra layer with the earlier layers frozen.
 
     The grid contains the all-zero layer, so seeding from the result keeps
-    the previous depth's cost attainable. The frozen layers run once; each
-    grid point continues from a copy of their final state.
+    the previous depth's cost attainable. The frozen layers run once, and
+    ``appended_layer_grid`` continues every grid point from their final
+    state. The first lowest cost in (beta, gamma, gamma') order wins, as in
+    ``_grid_argmin``.
     """
     hint = gamma_scale_hint(scheme)
     betas = np.concatenate([[0.0, 0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
     gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, 0.5, 1, 2])])
     biases = [0.0] if config.freeze_gamma_bias else [-0.4, 0.0, 0.4]
 
-    start = prepare_prefix(instance, scheme, prev)
-
-    def cost(layer: LayerParams) -> float:
-        return run_ansatz(instance, scheme, list(prev) + [layer], mode="exact",
-                          start=start).final_cost
-
-    return _grid_argmin(cost, betas, gammas, biases)
+    costs = appended_layer_grid(prepare_prefix(instance, scheme, prev), betas, gammas, biases)
+    i, j, k = np.unravel_index(np.argmin(costs), costs.shape)
+    return LayerParams(betas[i], gammas[j], biases[k])
 
 
 def warm_start_schedule(

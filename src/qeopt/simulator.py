@@ -3,8 +3,23 @@
 Gate conventions (used by the ansatz and checked by the compiler oracle):
 Rx(theta) = exp(-i theta X / 2), Rz(phi) = exp(-i phi Z / 2),
 iSWAP = exp(i pi/4 (XX + YY)). The mixer exp(i beta sum_i X_i) is realized
-as Rx(-2 beta) on every qubit. Qubit 0 is the most significant bit of the
-basis index.
+as Rx(-2 beta) on every qubit, qubit 0 first. Qubit 0 is the most
+significant bit of the basis index.
+
+The mixer's passes give the bits of the textbook two-by-two update. Rx has
+u00 = u11 = (c, 0) and u01 = u10 = (0, -s), so each component of u00 amp and
+of u01 amp[partner] is a single rounded product, whichever numpy loop (SIMD,
+FMA or scalar) computes it, and amp_new = u00 amp + u01 amp[partner] is one
+IEEE add, which commutes. A pass therefore needs no 2x2 matrix: it stages
+u01 amp[partner] in a scratch array and updates the state in place. Passes
+whose partner lies within a block of 2**BLOCK_QUBITS amplitudes (the last
+BLOCK_QUBITS qubits) run block by block, so the block stays in cache through
+all of them; the earlier passes run over pairs of blocks. The scratch is two
+blocks. Rz multiplies both halves by one broadcast phase pair. A general
+complex product has no single-rounding guarantee: its bits depend on the
+loop numpy picks for the operand layout. The tests pin the broadcast against
+the two per-half multiplies for q >= 2; on a one-qubit state numpy rounds a
+one-element product without FMA and the two forms may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ import numpy as np
 from qeopt.rng import stream
 
 MAX_QUBITS = 26
+BLOCK_QUBITS = 14  # the mixer's cache block: 2**14 amplitudes, 256 KiB
 
 
 @dataclass(frozen=True)
@@ -91,8 +107,7 @@ class Statevector:
         self._check_qubit(qubit)
         q = self.n_qubits
         view = self.amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
-        view[:, 0, :] *= np.exp(-1j * phi / 2)
-        view[:, 1, :] *= np.exp(1j * phi / 2)
+        view *= np.array([[np.exp(-1j * phi / 2)], [np.exp(1j * phi / 2)]])
         return self
 
     def apply_x(self, qubit: int) -> "Statevector":
@@ -130,9 +145,35 @@ class Statevector:
         return self
 
     def apply_mixer(self, beta: float) -> "Statevector":
-        """exp(i beta sum X_i) over all qubits."""
-        for qubit in range(self.n_qubits):
-            self.apply_rx(qubit, -2.0 * beta)
+        """exp(i beta sum X_i) over all qubits: Rx(-2 beta) on qubits 0..q-1 in
+        turn, each pass amp <- u00 amp + u01 amp[partner] (see the module
+        docstring for why this equals the two-by-two update bit for bit)."""
+        theta = -2.0 * beta
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        u00, u01 = complex(c), -1j * s
+        rows = self.amps.reshape(-1, min(self.dim, 1 << BLOCK_QUBITS))
+        scratch = np.empty((2, rows.shape[1]), dtype=np.complex128)
+        high = rows.shape[0].bit_length() - 1  # qubits whose partner is in another block
+        for qubit in range(high):
+            for a_rows, b_rows in rows.reshape(1 << qubit, 2, -1, rows.shape[1]):
+                for a, b in zip(a_rows, b_rows):
+                    np.multiply(b, u01, out=scratch[0])
+                    np.multiply(a, u01, out=scratch[1])
+                    a *= u00
+                    a += scratch[0]
+                    b *= u00
+                    b += scratch[1]
+        partner = scratch[0]
+        for row in rows:
+            for qubit in range(high, self.n_qubits):
+                stride = 1 << (self.n_qubits - 1 - qubit)
+                halves = row.reshape(-1, 2, stride)
+                # at strides 1 and 2 numpy's default order loops over 2 x stride
+                # elements at a time; "F" loops over the long outer axis instead
+                np.multiply(halves[:, ::-1], u01, out=partner.reshape(halves.shape),
+                            order="F" if stride <= 2 else "K")
+                row *= u00
+                row += partner
         return self
 
     # -- measurement ---------------------------------------------------------

@@ -8,6 +8,7 @@ import qeopt.ansatz
 from qeopt.ansatz import (
     AnsatzTrace,
     LayerParams,
+    appended_layer_grid,
     apply_layer,
     extract_solution,
     landscape,
@@ -384,6 +385,69 @@ class TestPrefixAgreement:
                        [frozen[0], LayerParams(0.5, -0.1, 0.01), frozen[1]]):
             with pytest.raises(ValueError, match="frozen layers"):
                 run_ansatz(n4_instance, n4_scheme, params, start=start)
+
+
+class TestAppendedLayerGrid:
+    """One phase and bias per (gamma, gamma') pair gives every per-point run's cost, bit for bit."""
+
+    @staticmethod
+    def per_point(start, betas, gammas, biases):
+        grid = np.empty((len(betas), len(gammas), len(biases)))
+        for i, beta in enumerate(betas):
+            for j, gamma in enumerate(gammas):
+                for k, bias in enumerate(biases):
+                    params = list(start.layers) + [LayerParams(beta, gamma, bias)]
+                    grid[i, j, k] = run_ansatz(start.instance, start.scheme, params,
+                                               start=start).final_cost
+        return grid
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_per_point_runs(self, k):
+        scheme = make_scheme(16, 4)
+        instance = generate_sk(16, "gaussian", seed=20 + k)
+        rng = np.random.default_rng(k)
+        start = prepare_prefix(instance, scheme, random_layers(rng, k) if k else ())
+        betas, gammas = np.linspace(0, np.pi, 4), np.linspace(-1, 1, 5)
+        biases = [-0.4, 0.0, 0.4]
+        grid = appended_layer_grid(start, betas, gammas, biases)
+        assert grid.shape == (4, 5, 3)
+        assert np.array_equal(grid, self.per_point(start, betas, gammas, biases))
+
+    def test_matches_per_point_runs_at_q18(self):
+        scheme = make_scheme(64, 16)
+        instance = generate_sk(64, "pm1", seed=4)
+        start = prepare_prefix(instance, scheme)
+        betas, gammas, biases = [0.3, 1.1], [-0.05, 0.02], [0.2]
+        grid = appended_layer_grid(start, betas, gammas, biases)
+        assert np.array_equal(grid, self.per_point(start, betas, gammas, biases))
+
+    def test_prefix_state_untouched(self, n4_instance, n4_scheme):
+        start = prepare_prefix(n4_instance, n4_scheme, [LayerParams(0.3, 0.2, 0.1)])
+        before = start.state.amps.copy()
+        appended_layer_grid(start, [0.2, 0.4], [0.1], [0.0, 0.3])
+        assert np.array_equal(start.state.amps, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_non_finite_angle_rejected(self, n4_instance, n4_scheme, axis, bad):
+        axes = [[0.1, 0.2], [0.3], [0.0]]
+        axes[axis] = axes[axis] + [bad]
+        with pytest.raises(ValueError, match="finite"):
+            appended_layer_grid(prepare_prefix(n4_instance, n4_scheme), *axes)
+
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_landscape_rejects_non_finite_angles(self, n4_instance, n4_scheme, mode, bad):
+        ok = np.array([0.1, 0.2])
+        for betas, gammas, bias in ((np.array([0.1, bad]), ok, 0.0), (ok, np.array([bad]), 0.0),
+                                    (ok, ok, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                landscape(n4_instance, n4_scheme, betas, gammas, gamma_bias=bias, mode=mode,
+                          n_shots=100)
+
+    def test_landscape_rejects_other_sized_scheme(self, n4_instance):
+        with pytest.raises(ValueError, match="scheme encodes 8"):
+            landscape(n4_instance, make_scheme(8, 2), np.array([0.1]), np.array([0.2]))
 
 
 class TestExtractSolution:

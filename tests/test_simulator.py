@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qeopt.simulator
 from qeopt.encoding import make_scheme
 from qeopt.simulator import DiagonalOperator, Statevector, init_plus
 
@@ -150,6 +153,88 @@ class TestCopyFreeKernel:
                 copying_apply_1q(want, qubit, RX(theta))
                 state.apply_rx(qubit, theta)
                 assert np.array_equal(state.amps, want)
+
+
+def looped_mixer(amps, beta):
+    """The mixer as it was: the two-by-two Rx(-2 beta) update on qubit 0, 1, ..., q-1."""
+    for qubit in range(amps.size.bit_length() - 1):
+        copying_apply_1q(amps, qubit, RX(-2.0 * beta))
+
+
+def halves_rz(amps, qubit, phi):
+    """Rz as it was: one scalar multiply per half."""
+    q = amps.size.bit_length() - 1
+    view = amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
+    view[:, 0, :] *= np.exp(-1j * phi / 2)
+    view[:, 1, :] *= np.exp(1j * phi / 2)
+
+
+def mixer_betas(rng):
+    return [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1e-9, 50.0, rng.uniform(-4, 4)]
+
+
+class TestBlockedKernels:
+    """The blocked mixer and the broadcast Rz give the looped kernels' bits."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mixer_with_small_blocks(self, monkeypatch, n):
+        # blocks of 8 amplitudes: every state from q = 4 on has passes across blocks
+        monkeypatch.setattr(qeopt.simulator, "BLOCK_QUBITS", 3)
+        rng = np.random.default_rng(100 + n)
+        for beta in mixer_betas(rng):
+            state = random_state(rng, n)
+            want = state.amps.copy()
+            looped_mixer(want, beta)
+            state.apply_mixer(beta)
+            assert np.array_equal(state.amps.view(np.float64), want.view(np.float64))
+
+    def test_mixer_at_the_real_block_size(self):
+        assert qeopt.simulator.BLOCK_QUBITS == 14
+        rng = np.random.default_rng(15)
+        for beta in mixer_betas(rng):
+            state = random_state(rng, 15)
+            want = state.amps.copy()
+            looped_mixer(want, beta)
+            state.apply_mixer(beta)
+            assert np.array_equal(state.amps.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_rz_one_broadcast_multiply(self, n):
+        rng = np.random.default_rng(200 + n)
+        for qubit in range(n):
+            for phi in [0.0, 1e-9, -0.8, 50.0, np.pi, rng.uniform(-7, 7)]:
+                state = random_state(rng, n)
+                want = state.amps.copy()
+                halves_rz(want, qubit, phi)
+                state.apply_rz(qubit, phi)
+                assert np.array_equal(state.amps.view(np.float64), want.view(np.float64))
+
+    def test_rz_on_one_qubit_within_a_rounding(self):
+        # numpy multiplies a one-element array in place without a fused
+        # multiply-add and a two-element array with one, so on the
+        # two-amplitude state alone each product may round differently;
+        # every scheme has q >= 2 and compile verification 2q >= 4
+        rng = np.random.default_rng(1)
+        for phi in [0.0, 1e-9, -0.8, 50.0, np.pi, rng.uniform(-7, 7)]:
+            state = random_state(rng, 1)
+            want = state.amps.copy()
+            halves_rz(want, 0, phi)
+            state.apply_rz(0, phi)
+            np.testing.assert_allclose(state.amps, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_mixer_scratch_stays_below_the_looped_kernels(self, n):
+        # the looped kernel's temporaries peaked at 1.53-1.63x the state's bytes
+        state = init_plus(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state.apply_mixer(0.3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * state.amps.nbytes
 
 
 class TestMixer:
