@@ -532,8 +532,13 @@ def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
 def rerun(manifest_file):
     """Replay a recorded command from its manifest (byte-identical outputs)."""
     manifest = runfiles.read_manifest(manifest_file)
-    click.echo(f"replaying: qeopt {' '.join(manifest.argv)}")
-    main.main(args=manifest.argv, standalone_mode=False)
+    argv = manifest.argv
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+            and argv and argv[0] in main.commands and argv[0] != "rerun"):
+        raise RuntimeFailure(f"{manifest_file}: argv must be a list of strings that starts "
+                             f"with a command other than rerun, got {argv!r}")
+    click.echo(f"replaying: qeopt {' '.join(argv)}")
+    main.main(args=argv, standalone_mode=False)
 
 
 if __name__ == "__main__":

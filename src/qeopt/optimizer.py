@@ -124,26 +124,16 @@ def _local_refine(fn: _CostFunction, x0: np.ndarray) -> None:
     )
 
 
-def _grid_argmin(cost, betas, gammas, biases) -> LayerParams:
-    """First layer of the (beta, gamma, gamma') grid, in that nesting order,
-    with the lowest ``cost(layer)``."""
-    best_layer, best_cost = LayerParams(0.0, 0.0, 0.0), math.inf
-    for beta, gamma, bias in itertools.product(betas, gammas, biases):
-        layer = LayerParams(beta, gamma, bias)
-        value = cost(layer)
-        if value < best_cost:
-            best_cost, best_layer = value, layer
-    return best_layer
-
-
 def _presearch(fn: _CostFunction) -> np.ndarray:
-    """Coarse deterministic grid of repeated layers to seed the first local search."""
+    """Coarse deterministic grid of repeated layers to seed the first local
+    search: the first lowest cost in (beta, gamma, gamma') order wins."""
     hint = gamma_scale_hint(fn.scheme)
     betas = np.concatenate([[0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
     gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, -0.25, 0.25, 0.5, 1, 2])])
     biases = [0.0] if fn.width == 2 else [-0.8, -0.4, 0.0, 0.4, 0.8]
-    best = _grid_argmin(lambda layer: fn(fn.pack([layer] * fn.p)), betas, gammas, biases)
-    return fn.pack([best] * fn.p)
+    for beta, gamma, bias in itertools.product(betas, gammas, biases):
+        fn(fn.pack([LayerParams(beta, gamma, bias)] * fn.p))
+    return fn.best_x.copy()
 
 
 def optimize(
@@ -198,8 +188,7 @@ def _best_appended_layer(
     The grid contains the all-zero layer, so seeding from the result keeps
     the previous depth's cost attainable. The frozen layers run once, and
     ``appended_layer_grid`` continues every grid point from their final
-    state. The first lowest cost in (beta, gamma, gamma') order wins, as in
-    ``_grid_argmin``.
+    state. The first lowest cost in (beta, gamma, gamma') order wins.
     """
     hint = gamma_scale_hint(scheme)
     betas = np.concatenate([[0.0, 0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])

@@ -6,20 +6,22 @@ iSWAP = exp(i pi/4 (XX + YY)). The mixer exp(i beta sum_i X_i) is realized
 as Rx(-2 beta) on every qubit, qubit 0 first. Qubit 0 is the most
 significant bit of the basis index.
 
-The mixer's passes give the bits of the textbook two-by-two update. Rx has
-u00 = u11 = (c, 0) and u01 = u10 = (0, -s), so each component of u00 amp and
-of u01 amp[partner] is a single rounded product, whichever numpy loop (SIMD,
-FMA or scalar) computes it, and amp_new = u00 amp + u01 amp[partner] is one
-IEEE add, which commutes. A pass therefore needs no 2x2 matrix: it stages
-u01 amp[partner] in a scratch array and updates the state in place. Passes
-whose partner lies within a block of 2**BLOCK_QUBITS amplitudes (the last
-BLOCK_QUBITS qubits) run block by block, so the block stays in cache through
-all of them; the earlier passes run over pairs of blocks. The scratch is two
-blocks. Rz multiplies both halves by one broadcast phase pair. A general
-complex product has no single-rounding guarantee: its bits depend on the
-loop numpy picks for the operand layout. The tests pin the broadcast against
-the two per-half multiplies for q >= 2; on a one-qubit state numpy rounds a
-one-element product without FMA and the two forms may differ in the last bit.
+One pass routine, ``_rx_passes``, serves both ``apply_rx`` (one qubit) and
+the mixer (every qubit), and gives the bits of the textbook two-by-two
+update. Rx has u00 = u11 = (c, 0) and u01 = u10 = (0, -s), so each component
+of u00 amp and of u01 amp[partner] is a single rounded product, whichever
+numpy loop (SIMD, FMA or scalar) computes it, and amp_new = u00 amp + u01
+amp[partner] is one IEEE add, which commutes. A pass therefore needs no 2x2
+matrix: it stages u01 amp[partner] in a scratch array and updates the state
+in place. Passes whose partner lies within a block of 2**BLOCK_QUBITS
+amplitudes (the last BLOCK_QUBITS qubits) run block by block, so the block
+stays in cache through all of them; the earlier passes run over pairs of
+blocks. The scratch is two blocks. Rz multiplies both halves by one
+broadcast phase pair. A general complex product has no single-rounding
+guarantee: its bits depend on the loop numpy picks for the operand layout.
+The tests pin the broadcast against the two per-half multiplies for q >= 2;
+on a one-qubit state numpy rounds a one-element product without FMA and the
+two forms may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -88,19 +90,9 @@ class Statevector:
         if not 0 <= qubit < self.n_qubits:
             raise IndexError(f"qubit {qubit} out of range [0, {self.n_qubits})")
 
-    def _apply_1q(self, qubit: int, u: np.ndarray) -> None:
-        self._check_qubit(qubit)
-        q = self.n_qubits
-        view = self.amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
-        a0 = view[:, 0, :]
-        a1 = view[:, 1, :]
-        new0 = u[0, 0] * a0 + u[0, 1] * a1
-        a1[...] = u[1, 0] * a0 + u[1, 1] * a1
-        a0[...] = new0
-
     def apply_rx(self, qubit: int, theta: float) -> "Statevector":
-        c, s = np.cos(theta / 2), np.sin(theta / 2)
-        self._apply_1q(qubit, np.array([[c, -1j * s], [-1j * s, c]]))
+        self._check_qubit(qubit)
+        self._rx_passes(range(qubit, qubit + 1), theta)
         return self
 
     def apply_rz(self, qubit: int, phi: float) -> "Statevector":
@@ -145,16 +137,20 @@ class Statevector:
         return self
 
     def apply_mixer(self, beta: float) -> "Statevector":
-        """exp(i beta sum X_i) over all qubits: Rx(-2 beta) on qubits 0..q-1 in
-        turn, each pass amp <- u00 amp + u01 amp[partner] (see the module
-        docstring for why this equals the two-by-two update bit for bit)."""
-        theta = -2.0 * beta
+        """exp(i beta sum X_i) over all qubits: Rx(-2 beta) on qubits 0..q-1 in turn."""
+        self._rx_passes(range(self.n_qubits), -2.0 * beta)
+        return self
+
+    def _rx_passes(self, qubits: range, theta: float) -> None:
+        """Rx(theta) on each of ``qubits`` in increasing order, each pass
+        amp <- u00 amp + u01 amp[partner] (see the module docstring for why
+        this equals the two-by-two update bit for bit)."""
         c, s = np.cos(theta / 2), np.sin(theta / 2)
         u00, u01 = complex(c), -1j * s
         rows = self.amps.reshape(-1, min(self.dim, 1 << BLOCK_QUBITS))
         scratch = np.empty((2, rows.shape[1]), dtype=np.complex128)
         high = rows.shape[0].bit_length() - 1  # qubits whose partner is in another block
-        for qubit in range(high):
+        for qubit in range(qubits.start, min(qubits.stop, high)):
             for a_rows, b_rows in rows.reshape(1 << qubit, 2, -1, rows.shape[1]):
                 for a, b in zip(a_rows, b_rows):
                     np.multiply(b, u01, out=scratch[0])
@@ -165,7 +161,7 @@ class Statevector:
                     b += scratch[1]
         partner = scratch[0]
         for row in rows:
-            for qubit in range(high, self.n_qubits):
+            for qubit in range(max(qubits.start, high), qubits.stop):
                 stride = 1 << (self.n_qubits - 1 - qubit)
                 halves = row.reshape(-1, 2, stride)
                 # at strides 1 and 2 numpy's default order loops over 2 x stride
@@ -174,7 +170,6 @@ class Statevector:
                             order="F" if stride <= 2 else "K")
                 row *= u00
                 row += partner
-        return self
 
     # -- measurement ---------------------------------------------------------
 

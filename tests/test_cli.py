@@ -798,7 +798,11 @@ def test_malformed_instance_exits_3(runner, fixture_file, tmp_path, edit):
     lambda data: {k: v for k, v in data.items() if k != "argv"},
     lambda data: {**data, "extra": 1},
     lambda data: [data],
-], ids=["missing-key", "unknown-key", "not-an-object"])
+    lambda data: {**data, "argv": ["rerun", "--manifest", data["outputs"][0] + ".manifest.json"]},
+    lambda data: {**data, "argv": "solve"},
+    lambda data: {**data, "argv": []},
+], ids=["missing-key", "unknown-key", "not-an-object", "replays-itself", "argv-a-string",
+        "argv-empty"])
 def test_malformed_manifest_exits_3(runner, fixture_file, tmp_path, edit):
     out = tmp_path / "base.csv"
     assert runner.invoke(main, ["baseline", "--instance", str(fixture_file), "--d", "2",

@@ -132,27 +132,30 @@ class TestGateOracle:
 
 
 class TestCopyFreeKernel:
-    """The in-place single-qubit update gives the copying kernel's amplitudes bit for bit."""
+    """apply_rx, the mixer's in-place pass on one qubit, gives the copying
+    two-by-two kernel's amplitudes bit for bit (compared as integers, since
+    float equality takes -0.0 for 0.0)."""
 
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_bit_identical_to_copying_kernel(self, n):
-        rng = np.random.default_rng(n)
+    @staticmethod
+    def check(rng, n):
         for qubit in range(n):
-            for _ in range(3):
-                theta = rng.uniform(-4 * np.pi, 4 * np.pi)
-                a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                general = np.array([[a, -np.conj(b)], [b, np.conj(a)]]) / np.hypot(abs(a), abs(b))
-                for u in (RX(theta), general):
-                    state = random_state(rng, n)
-                    want = state.amps.copy()
-                    copying_apply_1q(want, qubit, u)
-                    state._apply_1q(qubit, u)
-                    assert np.array_equal(state.amps, want)
+            for theta in [0.0, np.pi / 2, -np.pi / 2, np.pi, rng.uniform(-4 * np.pi, 4 * np.pi)]:
                 state = random_state(rng, n)
                 want = state.amps.copy()
                 copying_apply_1q(want, qubit, RX(theta))
                 state.apply_rx(qubit, theta)
-                assert np.array_equal(state.amps, want)
+                assert np.array_equal(state.amps.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bit_identical_to_copying_kernel(self, monkeypatch, n):
+        # blocks of 8 amplitudes: from q = 4 on, the early qubits pair rows across blocks
+        monkeypatch.setattr(qeopt.simulator, "BLOCK_QUBITS", 3)
+        self.check(np.random.default_rng(n), n)
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_bit_identical_at_the_real_block_size(self, n):
+        assert qeopt.simulator.BLOCK_QUBITS == 14
+        self.check(np.random.default_rng(n), n)
 
 
 def looped_mixer(amps, beta):
