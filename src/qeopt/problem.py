@@ -3,7 +3,8 @@
 The cost is C(z) = sum_{i<j} w_ij z_i z_j with z_i in {+1, -1}. Weights are
 drawn either uniformly from {+1, -1} or i.i.d. standard normal. Exact optima
 come from brute-force enumeration (N <= BRUTE_FORCE_CAP = 24); larger sizes
-use an in-repo multi-start tabu descent.
+use an in-repo multi-start tabu descent, which stops once no restart has
+improved for 8 sweeps, within a budget of max_sweeps * N flips.
 """
 
 from __future__ import annotations
@@ -162,13 +163,16 @@ def local_search_optimum(
 ) -> OptimumRecord:
     """Multi-start single-flip tabu descent, restarts advanced in lockstep.
 
-    Each restart performs ``max_sweeps * N`` best-improvement flips with a
-    tabu list of length ``tabu_tenure`` and an aspiration override when a
-    move beats that restart's incumbent. Deterministic given the seed.
+    Each restart makes best-improvement flips with a tabu list of length
+    ``tabu_tenure`` and an aspiration override when a move beats that
+    restart's incumbent. The search stops once no restart's incumbent has
+    improved for 8 sweeps (8 * N moves), and after ``max_sweeps * N`` moves
+    at the latest. The minimizer is returned with z_0 = +1, as
+    ``brute_force_optimum`` enumerates it. Deterministic given the seed.
     Calibrated to match brute force on N <= 24 with the default budgets.
     """
     if min(n_restarts, tabu_tenure) < 1 or max_sweeps < 0:
-        raise ValueError("local search budgets must be positive")
+        raise ValueError("n_restarts and tabu_tenure must be >= 1 and max_sweeps >= 0")
     n = instance.n_vars
     w_sym = instance.sym_weights
     rng = stream(seed, "tabu")
@@ -181,8 +185,12 @@ def local_search_optimum(
     inc_costs = costs.copy()
     inc_z = z.copy()
     rows = np.arange(r)
+    last_improved = 0
 
     for move in range(max_sweeps * n):
+        # stall exit at 8 sweeps, ~2x the largest pm1 gap between improvements (4.3 N)
+        if move - last_improved > 8 * n:
+            break
         gains = -2.0 * z * fields
         allowed = tabu_until <= move
         # aspiration: a tabu flip is allowed if it improves the incumbent
@@ -203,10 +211,11 @@ def local_search_optimum(
         if improved.size:
             inc_costs[improved] = costs[improved]
             inc_z[improved] = z[improved]
+            last_improved = move
 
     best = int(np.argmin(inc_costs))
-    best_z = inc_z[best]
-    # re-evaluate to shed incremental float drift
+    best_z = inc_z[best] * inc_z[best, 0]
+    # re-evaluate to shed incremental float drift; negation keeps the bits
     best_cost = cost(instance, best_z)
     return OptimumRecord(
         best_cost=best_cost,

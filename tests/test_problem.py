@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeopt.problem import (
+    WEIGHT_KINDS,
+    OptimumRecord,
     SKInstance,
     approximation_ratio,
     brute_force_optimum,
@@ -14,6 +16,7 @@ from qeopt.problem import (
     local_search_optimum,
     pad_instance,
 )
+from qeopt.rng import stream
 
 
 class TestGenerate:
@@ -141,12 +144,107 @@ class TestLocalSearch:
         (z,) = rec.minimizers
         assert rec.best_cost == cost(n4_instance, np.array(z))
 
+    @pytest.mark.parametrize("budgets", [dict(n_restarts=0), dict(tabu_tenure=0),
+                                         dict(max_sweeps=-1)])
+    def test_bad_budget_rejected(self, n4_instance, budgets):
+        with pytest.raises(ValueError, match="n_restarts and tabu_tenure must be >= 1 and "
+                                             "max_sweeps >= 0"):
+            local_search_optimum(n4_instance, **budgets)
+
     def test_deterministic(self):
         inst = generate_sk(32, "pm1", seed=5)
         a = local_search_optimum(inst, n_restarts=8, max_sweeps=8, seed=2)
         b = local_search_optimum(inst, n_restarts=8, max_sweeps=8, seed=2)
         assert a.best_cost == b.best_cost
         assert a.minimizers == b.minimizers
+
+
+def full_budget_search(instance, seed, n_restarts=64, max_sweeps=64, tabu_tenure=8):
+    """Copy of the tabu loop without the stall exit: every restart makes all
+    max_sweeps * N moves. The minimizer is returned with z_0 = +1."""
+    n = instance.n_vars
+    w_sym = instance.sym_weights
+    rng = stream(seed, "tabu")
+    r = n_restarts
+    z = rng.integers(0, 2, size=(r, n)) * 2.0 - 1.0
+    fields = z @ w_sym
+    costs = 0.5 * np.einsum("rn,rn->r", z, fields)
+    tabu_until = np.zeros((r, n), dtype=np.int64)
+    inc_costs = costs.copy()
+    inc_z = z.copy()
+    rows = np.arange(r)
+    for move in range(max_sweeps * n):
+        gains = -2.0 * z * fields
+        allowed = tabu_until <= move
+        allowed |= costs[:, None] + gains < inc_costs[:, None] - 1e-12
+        candidates = np.where(allowed, gains, np.inf)
+        picks = np.argmin(candidates, axis=1)
+        gain = candidates[rows, picks]
+        movable = np.isfinite(gain)
+        if not movable.any():
+            break
+        rr = rows[movable]
+        ii = picks[movable]
+        z[rr, ii] = -z[rr, ii]
+        fields[rr] += 2.0 * z[rr, ii, None] * w_sym[ii]
+        costs[rr] += gain[movable]
+        tabu_until[rr, ii] = move + tabu_tenure
+        improved = rr[costs[rr] < inc_costs[rr] - 1e-12]
+        if improved.size:
+            inc_costs[improved] = costs[improved]
+            inc_z[improved] = z[improved]
+    best_z = inc_z[int(np.argmin(inc_costs))]
+    best_z = best_z * best_z[0]
+    return OptimumRecord(best_cost=cost(instance, best_z),
+                         minimizers=frozenset({tuple(int(v) for v in best_z)}),
+                         method="local_search")
+
+
+def count_moves(monkeypatch):
+    """Count the search's moves: one row-wise np.argmin per move."""
+    calls = []
+    real = np.argmin
+
+    def counting(a, *args, **kwargs):
+        if kwargs.get("axis") == 1:
+            calls.append(1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argmin", counting)
+    return calls
+
+
+# (N, weight kind, instance seed, tabu seed) of every tabu search in test_acceptance.py
+ACCEPTANCE_RUNS = {
+    "donor": [(64, "pm1", 1, 0)],
+    "pm1_ensemble": [(64, "pm1", 100 + k, 40 + k) for k in range(20)],
+    "gaussian_ensemble": [(64, "gaussian", 200 + k, 60 + k) for k in range(20)],
+    "transfer_n128": [(128, "pm1", 300 + k, 50 + k) for k in range(10)],
+}
+RANDOM_RUNS = [(n, kind, 7000 + 10 * n + k, k) for n in (32, 64) for kind in WEIGHT_KINDS
+               for k in range(6)]
+
+
+class TestStallExit:
+    @pytest.mark.parametrize("group", list(ACCEPTANCE_RUNS) + ["random"])
+    def test_records_equal_full_budget(self, group):
+        runs = RANDOM_RUNS if group == "random" else ACCEPTANCE_RUNS[group]
+        for n, kind, inst_seed, tabu_seed in runs:
+            inst = generate_sk(n, kind, seed=inst_seed)
+            assert local_search_optimum(inst, seed=tabu_seed) == full_budget_search(inst, tabu_seed)
+
+    def test_exit_fires_on_pm1(self, monkeypatch):
+        inst = generate_sk(64, "pm1", seed=1)
+        moves = count_moves(monkeypatch)
+        local_search_optimum(inst, seed=0)
+        assert 8 * 64 < len(moves) < 0.3 * 64 * 64
+
+    def test_drifting_gaussian_runs_full_budget(self, monkeypatch):
+        inst = generate_sk(128, "gaussian", seed=3)
+        reference = full_budget_search(inst, seed=3)
+        moves = count_moves(monkeypatch)
+        assert local_search_optimum(inst, seed=3) == reference
+        assert len(moves) == 64 * 128
 
 
 class TestRatioAndPadding:
