@@ -28,6 +28,7 @@ landscape (k = 0) and the optimizer's appended-layer grid -- goes through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class LayerParams:
 
     def __post_init__(self):
         for v in (self.beta, self.gamma, self.gamma_bias):
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"layer parameters must be finite, got {self}")
 
 
@@ -108,8 +109,7 @@ def _phase_and_bias(state: Statevector, hamiltonian: DiagonalOperator, gamma: fl
     """The first two factors of a layer, exp(i gamma' H_z) exp(i gamma H), in place."""
     state.apply_diagonal_phase(hamiltonian, gamma)
     if gamma_bias != 0.0:
-        for qubit in range(state.n_qubits):
-            state.apply_rz(qubit, -2.0 * gamma_bias)
+        state.apply_bias(gamma_bias)
     return state
 
 

@@ -26,7 +26,7 @@ from qeopt import runfiles
 from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
 from qeopt.compiler import compile_layer, dumps
 from qeopt.encoding import is_pow2_multiple, make_scheme
-from qeopt.estimator import exact_group_stats
+from qeopt.estimator import exact_evaluation_bytes, exact_group_stats
 from qeopt.problem import (approximation_ratio, example_instance_n4, generate_sk, ground_truth,
                            pad_instance)
 from qeopt.rng import stream
@@ -104,6 +104,30 @@ def _load_instance(path: str, d: int, allow_padding: bool):
     if scheme.n_vars != inst.n_vars:
         inst = pad_instance(inst, scheme.n_vars)
     return inst, scheme
+
+
+def _memory_limit() -> int:
+    """Physical memory, or the cgroup memory limit of this process when lower."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            limit = min(limit, int(Path(path).read_text()))
+        except (OSError, ValueError):  # no such cgroup file, or "max"
+            pass
+    return limit
+
+
+def _check_memory(scheme, workers: int = 1) -> None:
+    """Exit 3 before anything is simulated when ``workers`` concurrent exact
+    evaluations at ``scheme`` would exceed the memory limit."""
+    need, have = workers * exact_evaluation_bytes(scheme), _memory_limit()
+    if need > have:
+        each = f" in each of {workers} workers" if workers > 1 else ""
+        raise RuntimeFailure(
+            f"an exact evaluation at N={scheme.n_vars}, d={scheme.group_size} "
+            f"(q={scheme.n_qubits}) needs about "
+            f"{need / workers / 2**30:.2f} GiB{each}, more than the "
+            f"{have / 2**30:.2f} GiB memory limit")
 
 
 def _parse_params(text: str) -> list[LayerParams]:
@@ -229,6 +253,7 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
     _fail_usage()
     out_path = _resolve_out(out, "solve.csv")
     inst, scheme = _load_instance(instance_path, d, allow_padding)
+    _check_memory(scheme)
     record = ground_truth(inst, seed=seed)
     config = opt.OptimizerConfig(
         n_hops=hops, max_local_evals=local_evals,
@@ -292,12 +317,14 @@ def landscape_cmd(instance_path, d, beta_steps, gamma_steps, gamma_bias, mode, s
     betas = np.linspace(0.0, math.pi, beta_steps)
     gammas = np.linspace(-math.pi, math.pi, gamma_steps)
     inst, scheme = _load_instance(instance_path, d, allow_padding=False)
+    n_blocks = min(jobs, beta_steps)
+    _check_memory(scheme, n_blocks)
     grid = dict(instance=inst, scheme=scheme, gammas=gammas, gamma_bias=gamma_bias,
                 mode=mode, n_shots=shots)
     # the block from row r runs at seed * 100_003 + r, which gives each row
     # the shot seeds of a one-row grid at seed * 100_003 + (its row)
     blocks = [(betas[rows], seed * 100_003 + int(rows[0]))
-              for rows in np.array_split(np.arange(beta_steps), min(jobs, beta_steps))]
+              for rows in np.array_split(np.arange(beta_steps), n_blocks)]
     costs = np.vstack(_pmap(partial(_landscape_block, grid), blocks, jobs))
     rows = [[beta, gamma, cost] for beta, cost_row in zip(betas, costs)
             for gamma, cost in zip(gammas, cost_row)]
@@ -410,6 +437,7 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
     _fail_usage(problems)
     out_path = _resolve_out(out, "shots.csv")
     inst, scheme = _load_instance(instance_path, d, allow_padding=False)
+    _check_memory(scheme)
     study = ana.shot_noise_study(inst, scheme, layers, counts, replicas=replicas, seed=seed)
     if study.exact_cost == 0:
         raise RuntimeFailure("relative error needs a nonzero exact cost, got 0")
@@ -457,6 +485,11 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     layers = tuple(_parse_params(donor_params)) if donor_params else None
     out_path = _resolve_out(out, "transfer.csv")
     donor_inst, donor_scheme = _load_instance(donor_instance, d, allow_padding=False)
+    targets = [_load_instance(path, d, allow_padding=False) for path in target_paths]
+    if layers is None:
+        _check_memory(donor_scheme)
+    _check_memory(max((scheme for _, scheme in targets), key=lambda scheme: scheme.dim),
+                  min(jobs, len(targets)))
     if layers is not None:
         donor_ratio = float("nan")
     else:
@@ -466,11 +499,9 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
         layers = donor.best_params
         donor_ratio = approximation_ratio(donor.best_cost, record.best_cost)
 
-    tasks = []
-    for path in target_paths:
-        target, scheme = _load_instance(path, d, allow_padding=False)
-        scaled = opt.transfer_params(layers, (donor_inst.n_vars, d), (target.n_vars, d))
-        tasks.append((target, scheme, scaled))
+    tasks = [(target, scheme,
+              opt.transfer_params(layers, (donor_inst.n_vars, d), (target.n_vars, d)))
+             for target, scheme in targets]
     results = _pmap(partial(_concentration_worker, seed), tasks, jobs)
     rows = [
         [Path(path).name, target.n_vars, d, len(layers), cost, c_star, method,

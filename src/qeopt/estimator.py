@@ -86,6 +86,16 @@ def pair_product_table(d: int) -> np.ndarray:
     return table
 
 
+def exact_evaluation_bytes(scheme: EncodingScheme) -> int:
+    """Estimated peak bytes of one exact evaluation: 96 per amplitude (three
+    complex states -- the prefix, its phased copy and a mixed copy, as the
+    appended-layer grid holds them -- two dense diagonals and the phase's and
+    separator's temporaries; the grid was measured at about 89) plus
+    ``spin_value_table(d)`` and ``pair_product_table(d)``."""
+    d = scheme.group_size
+    return 96 * scheme.dim + 8 * (1 << d) * (d + d * (d - 1) // 2)
+
+
 def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
                       observed: np.ndarray | None = None) -> GroupStats:
     d = scheme.group_size
@@ -98,10 +108,11 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
     spins = spin_value_table(d)
     zbar_mat = (grouped @ spins) / denom[:, None]
     corr_mat = (grouped @ pair_product_table(d)) / denom[:, None]
-    zbar_mat[~observed] = 0.0
-    corr_mat[~observed] = 0.0
-    np.clip(zbar_mat, -1.0, 1.0, out=zbar_mat)
-    np.clip(corr_mat, -1.0, 1.0, out=corr_mat)
+    for mat in (zbar_mat, corr_mat):
+        mat[~observed] = 0.0
+        # the clip to [-1, 1], in place; exact for the finite values here
+        np.maximum(mat, -1.0, out=mat)
+        np.minimum(mat, 1.0, out=mat)
 
     return GroupStats(
         p_label=p_label,
@@ -138,12 +149,24 @@ def shot_group_stats(scheme: EncodingScheme, counts: np.ndarray) -> GroupStats:
     return _stats_from_probs(scheme, counts / n_shots, observed=observed)
 
 
-def _intra_weight_matrix(instance: SKInstance, scheme: EncodingScheme) -> np.ndarray:
-    """(N/d, C(d,2)) weights w_ij of the intra-group pairs."""
+def _group_weights(instance: SKInstance, scheme: EncodingScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights inside each label's group of d consecutive variables:
+    the (N/d, d, d) diagonal blocks of ``sym_weights`` and the (N/d, C(d,2))
+    pair weights w_ab in ``data_pair_indices`` order. Built once per
+    (instance, d) and kept in the instance's cache."""
     d = scheme.group_size
+    return instance.cached(("group_weights", d), lambda inst: _build_group_weights(inst, d))
+
+
+def _build_group_weights(instance: SKInstance, d: int) -> tuple[np.ndarray, np.ndarray]:
+    labels = np.arange(instance.n_vars // d)
+    blocks = instance.sym_weights.reshape(labels.size, d, labels.size, d)[labels, :, labels, :]
     a, b = _pair_columns(d)
-    bases = d * np.arange(scheme.n_groups)[:, None]
-    return instance.weights[bases + a[None, :], bases + b[None, :]]
+    bases = d * labels[:, None]
+    pairs = instance.weights[bases + a[None, :], bases + b[None, :]]
+    for table in (blocks, pairs):
+        table.setflags(write=False)
+    return blocks, pairs
 
 
 def _check_sizes(instance: SKInstance, scheme: EncodingScheme) -> None:
@@ -160,7 +183,7 @@ def estimate_cost(instance: SKInstance, scheme: EncodingScheme, stats: GroupStat
     zbar_i * zbar_j. Terms owned by unobserved labels contribute zero.
     """
     _check_sizes(instance, scheme)
-    intra_w = _intra_weight_matrix(instance, scheme)
+    _, intra_w = _group_weights(instance, scheme)
     intra = float(np.sum(intra_w * stats.corr_matrix))
 
     zbar = stats.zbar
@@ -173,18 +196,18 @@ def estimate_cost(instance: SKInstance, scheme: EncodingScheme, stats: GroupStat
 
 
 def cross_group_fields(instance: SKInstance, scheme: EncodingScheme, stats: GroupStats) -> np.ndarray:
-    """h_i = 1/2 sum over j in other groups of w_ij zbar_j, for every i."""
+    """h_i = 1/2 sum over j in other groups of w_ij zbar_j, for every i.
+
+    The full product reads the instance's cached ``sym_weights``; the
+    same-group part it subtracts is one stacked product of the cached
+    (N/d, d, d) diagonal blocks (``_group_weights``) with the
+    groups' zbar columns, which gives the bits of a product per label.
+    """
     _check_sizes(instance, scheme)
-    w_sym = instance.sym_weights
-    zbar = stats.zbar
-    full = w_sym @ zbar
-    d = scheme.group_size
-    zbar_mat = zbar.reshape(scheme.n_groups, d)
-    same = np.zeros(scheme.n_vars)
-    for label in range(scheme.n_groups):
-        sl = slice(d * label, d * (label + 1))
-        same[sl] = w_sym[sl, sl] @ zbar_mat[label]
-    return 0.5 * (full - same)
+    blocks, _ = _group_weights(instance, scheme)
+    full = instance.sym_weights @ stats.zbar
+    same = np.matmul(blocks, stats.zbar.reshape(scheme.n_groups, scheme.group_size, 1))
+    return 0.5 * (full - same.ravel())
 
 
 @dataclass(frozen=True)
@@ -204,7 +227,7 @@ def _separator_setup(
     _check_sizes(instance, scheme)
     if stats.n_unobserved:
         log.debug("dropping Hamiltonian terms for %d unobserved label(s)", stats.n_unobserved)
-    intra_w = _intra_weight_matrix(instance, scheme)
+    _, intra_w = _group_weights(instance, scheme)
     h_mat = cross_group_fields(instance, scheme, stats).reshape(scheme.n_groups, scheme.group_size)
     denom = np.where(stats.observed, stats.p_label, 1.0)
     return intra_w, h_mat, denom

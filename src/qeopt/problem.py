@@ -10,6 +10,7 @@ improved for 8 sweeps, within a budget of max_sweeps * N flips.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,12 +23,19 @@ WEIGHT_KINDS = ("pm1", "gaussian")
 
 @dataclass(frozen=True)
 class SKInstance:
-    """Fully connected instance with strictly-upper-triangular weights."""
+    """Fully connected instance with strictly-upper-triangular weights.
+
+    ``sym_weights`` is built on first use and kept read-only. ``cached`` keeps
+    other tables derived from the weights for the instance's lifetime; the
+    estimator keeps its per-group-size weight tables there, so each is built
+    once per (instance, group size).
+    """
 
     n_vars: int
     weights: np.ndarray  # (N, N), zero on and below the diagonal
     weight_kind: str
     seed: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -41,9 +49,18 @@ class SKInstance:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
+    @cached_property
     def sym_weights(self) -> np.ndarray:
-        return self.weights + self.weights.T
+        """(N, N) read-only w + w^T."""
+        sym = self.weights + self.weights.T
+        sym.setflags(write=False)
+        return sym
+
+    def cached(self, key, build):
+        """``build(self)``, computed on the first call with ``key`` and kept."""
+        if key not in self._tables:
+            self._tables[key] = build(self)
+        return self._tables[key]
 
     def weight_pairs(self):
         """Yield (i, j, w_ij) for the stored i < j entries."""

@@ -16,12 +16,19 @@ matrix: it stages u01 amp[partner] in a scratch array and updates the state
 in place. Passes whose partner lies within a block of 2**BLOCK_QUBITS
 amplitudes (the last BLOCK_QUBITS qubits) run block by block, so the block
 stays in cache through all of them; the earlier passes run over pairs of
-blocks. The scratch is two blocks. Rz multiplies both halves by one
-broadcast phase pair. A general complex product has no single-rounding
-guarantee: its bits depend on the loop numpy picks for the operand layout.
-The tests pin the broadcast against the two per-half multiplies for q >= 2;
-on a one-qubit state numpy rounds a one-element product without FMA and the
-two forms may differ in the last bit.
+blocks. The scratch is two blocks.
+
+One phase routine, ``_rz_passes``, likewise serves ``apply_rz`` (one qubit)
+and the bias (every qubit). It computes the phase pair [[e^{-i phi/2}],
+[e^{i phi/2}]] once and multiplies both halves of each qubit's split in
+place by that broadcast pair, qubit 0 first. The bias, Rz(-2 gamma') on
+every qubit, is therefore the same q multiplies by the same pair that q
+``apply_rz`` calls make, and gives their bits without recomputing the pair
+per qubit. A general complex product has no single-rounding guarantee: its
+bits depend on the loop numpy picks for the operand layout. The tests pin
+the broadcast against the two per-half multiplies for q >= 2; on a
+one-qubit state numpy rounds a one-element product without FMA and the two
+forms may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -97,9 +104,7 @@ class Statevector:
 
     def apply_rz(self, qubit: int, phi: float) -> "Statevector":
         self._check_qubit(qubit)
-        q = self.n_qubits
-        view = self.amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
-        view *= np.array([[np.exp(-1j * phi / 2)], [np.exp(1j * phi / 2)]])
+        self._rz_passes(range(qubit, qubit + 1), phi)
         return self
 
     def apply_x(self, qubit: int) -> "Statevector":
@@ -140,6 +145,20 @@ class Statevector:
         """exp(i beta sum X_i) over all qubits: Rx(-2 beta) on qubits 0..q-1 in turn."""
         self._rx_passes(range(self.n_qubits), -2.0 * beta)
         return self
+
+    def apply_bias(self, gamma_bias: float) -> "Statevector":
+        """exp(i gamma' sum Z_i) over all qubits: Rz(-2 gamma') on qubits 0..q-1 in turn."""
+        self._rz_passes(range(self.n_qubits), -2.0 * gamma_bias)
+        return self
+
+    def _rz_passes(self, qubits: range, phi: float) -> None:
+        """Rz(phi) on each of ``qubits`` in increasing order: one phase pair,
+        one in-place broadcast multiply per qubit."""
+        pair = np.array([[np.exp(-1j * phi / 2)], [np.exp(1j * phi / 2)]])
+        q = self.n_qubits
+        for qubit in qubits:
+            view = self.amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
+            view *= pair
 
     def _rx_passes(self, qubits: range, theta: float) -> None:
         """Rx(theta) on each of ``qubits`` in increasing order, each pass

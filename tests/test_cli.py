@@ -12,8 +12,11 @@ from click.testing import CliRunner
 import qeopt.ansatz
 from qeopt import cli
 from qeopt.cli import main
+from qeopt.encoding import make_scheme
+from qeopt.estimator import exact_evaluation_bytes
 from qeopt.problem import SKInstance, example_instance_n4, generate_sk
 from qeopt.runfiles import read_instance, read_manifest, write_instance
+from qeopt.simulator import Statevector
 
 
 @pytest.fixture()
@@ -771,6 +774,87 @@ def test_flag_below_its_minimum_exits_2(runner, fixture_file, tmp_path, command,
     assert result.exit_code == 2, result.output
     assert one_error_line(result) and f"{flag} must be >= {minimum}" in result.output
     assert not out.exists()
+
+
+def test_exact_evaluation_bytes_at_d22():
+    # the pair table alone holds 8 * 2**22 * C(22, 2) bytes, 7.75 GB
+    scheme = make_scheme(44, 22)
+    assert scheme.n_qubits == 23
+    assert exact_evaluation_bytes(scheme) == 96 * 2**23 + 8 * 2**22 * (22 + 231)
+    assert exact_evaluation_bytes(scheme) > 7.8 * 2**30
+
+
+# the commands that simulate: the RERUN_CASES runs, and an exact landscape
+SIMULATING_CASES = {
+    **{case: RERUN_CASES[case]
+       for case in ("solve", "solve-shots", "landscape-shots", "shots", "transfer")},
+    "landscape": lambda inst, out: (
+        ["landscape", "--instance", inst, "--d", "2", "--beta-steps", "2", "--gamma-steps", "2",
+         "--out", out], out),
+}
+
+
+def refuse_states(monkeypatch):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was allocated")
+
+    monkeypatch.setattr(Statevector, "__init__", no_state)
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATING_CASES))
+def test_evaluation_over_memory_limit_exits_3(runner, fixture_file, tmp_path, monkeypatch, case):
+    argv, written = SIMULATING_CASES[case](str(fixture_file), str(tmp_path / "out"))
+    need = exact_evaluation_bytes(make_scheme(4, 2))
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
+    refuse_states(monkeypatch)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert one_error_line(result) and "memory limit" in result.output
+    assert not Path(written).exists()
+
+
+@pytest.mark.parametrize("case", ["landscape", "transfer"])
+def test_memory_check_counts_each_worker(runner, fixture_file, tmp_path, monkeypatch, case):
+    # two workers, each with its own exact evaluation, do not fit in 1.5 of one
+    argv, written = SIMULATING_CASES[case](str(fixture_file), str(tmp_path / "out"))
+    if case == "transfer":
+        argv[argv.index("--d"):argv.index("--d")] = ["--target-instance", str(fixture_file)]
+    argv[-2:-2] = ["--jobs", "2"]
+    need = exact_evaluation_bytes(make_scheme(4, 2))
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need * 3 // 2)
+    refuse_states(monkeypatch)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert one_error_line(result) and "in each of 2 workers" in result.output
+    assert not Path(written).exists()
+
+
+@pytest.mark.parametrize("case", ["solve", "entropy", "baseline"])
+def test_memory_reading_passes_what_fits(runner, fixture_file, tmp_path, monkeypatch, case):
+    # entropy and baseline never simulate a state, whatever their d
+    argv, written = RERUN_CASES[case](str(fixture_file), str(tmp_path / "out"))
+    need = exact_evaluation_bytes(make_scheme(4, 2))
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 0 if case != "solve" else need)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert Path(written).exists()
+
+
+@pytest.mark.parametrize("cgroup, want", [(None, 2**33), ("max\n", 2**33), ("2147483648\n", 2**31),
+                                          ("99999999999999\n", 2**33)])
+def test_memory_limit_is_the_lower_of_ram_and_cgroup(monkeypatch, cgroup, want):
+    monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)
+    read_text = Path.read_text
+
+    def fake_read_text(path, *args, **kwargs):
+        if not str(path).startswith("/sys/fs/cgroup/"):
+            return read_text(path, *args, **kwargs)
+        if cgroup is None:
+            raise FileNotFoundError(path)
+        return cgroup
+
+    monkeypatch.setattr(Path, "read_text", fake_read_text)
+    assert cli._memory_limit() == want
 
 
 def one_error_line(result) -> bool:

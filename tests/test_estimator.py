@@ -1,3 +1,4 @@
+import functools
 import logging
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeopt.encoding import basis_spin_table, make_scheme
+import qeopt.estimator
 from qeopt.estimator import (
+    GroupStats,
     HamiltonianTerm,
-    _intra_weight_matrix,
+    _group_weights,
     _stats_from_probs,
     build_cost_hamiltonian,
     cost_hamiltonian_terms,
@@ -21,7 +24,8 @@ from qeopt.estimator import (
     shot_group_stats,
     spin_value_table,
 )
-from qeopt.problem import SKInstance, cost, generate_sk
+from qeopt.optimizer import OptimizerConfig, optimize
+from qeopt.problem import WEIGHT_KINDS, SKInstance, cost, generate_sk
 from qeopt.rng import stream
 from qeopt.simulator import DiagonalOperator, Statevector, init_plus
 
@@ -180,7 +184,7 @@ class TestPairTables:
         inst = generate_sk(n, "gaussian", seed=n + d)
         stats = exact_group_stats(scheme, random_state(np.random.default_rng(d), scheme.n_qubits))
         intra_w, intra, inter = reference_pair_list_cost(inst, scheme, stats)
-        assert np.array_equal(_intra_weight_matrix(inst, scheme), intra_w)
+        assert np.array_equal(_group_weights(inst, scheme)[1], intra_w)
         got = estimate_cost(inst, scheme, stats)
         assert (got.intra, got.inter) == (intra, inter)
         spins = basis_spin_table(d).astype(np.float64)
@@ -214,9 +218,107 @@ class TestPairTables:
         assert np.array_equal(got.zbar, zbar)
         assert np.array_equal(got.corr_matrix, corr)
         h_mat = cross_group_fields(inst, scheme, got).reshape(scheme.n_groups, d)
-        block = pair_product_table(d) @ _intra_weight_matrix(inst, scheme).T + spins @ h_mat.T
+        block = pair_product_table(d) @ _group_weights(inst, scheme)[1].T + spins @ h_mat.T
         block = block / got.p_label[None, :]
         assert np.array_equal(build_cost_hamiltonian(inst, scheme, got).entries, block.T.ravel())
+
+
+def looped_cross_group_fields(instance, scheme, zbar):
+    """cross_group_fields as it was: w + w^T built per call and one product
+    per label with its diagonal block."""
+    w_sym = instance.weights + instance.weights.T
+    full = w_sym @ zbar
+    d = scheme.group_size
+    zbar_mat = zbar.reshape(scheme.n_groups, d)
+    same = np.zeros(scheme.n_vars)
+    for label in range(scheme.n_groups):
+        sl = slice(d * label, d * (label + 1))
+        same[sl] = w_sym[sl, sl] @ zbar_mat[label]
+    return 0.5 * (full - same)
+
+
+def per_call_intra_weights(instance, scheme):
+    """The intra-group pair weights as they were indexed on every call."""
+    d = scheme.group_size
+    pairs = np.array(data_pair_indices(d), dtype=np.intp).reshape(-1, 2)
+    bases = d * np.arange(scheme.n_groups)[:, None]
+    return instance.weights[bases + pairs[None, :, 0], bases + pairs[None, :, 1]]
+
+
+FIELD_SHAPES = [(4, 2), (8, 1), (8, 2), (8, 4), (8, 8), (16, 4), (32, 2), (64, 4), (64, 8),
+                (64, 16), (128, 4)]
+
+
+class TestCachedWeightTables:
+    """The per-instance weight tables and the stacked field product give the
+    per-call bits, compared as integers (float equality takes -0.0 for 0.0)."""
+
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    @pytest.mark.parametrize("shape", FIELD_SHAPES, ids=lambda s: "%dx%d" % s)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+           drop_label=st.booleans())
+    def test_fields_bit_identical_to_per_label_loop(self, shape, kind, seed, zero_share,
+                                                     drop_label):
+        n, d = shape
+        inst = generate_sk(n, kind, seed=seed)
+        scheme = make_scheme(n, d)
+        rng = np.random.default_rng(seed)
+        zbar = rng.uniform(-1.0, 1.0, n)
+        zbar[rng.random(n) < zero_share] = 0.0
+        observed = np.ones(scheme.n_groups, dtype=bool)
+        if drop_label and scheme.n_groups > 1:  # an unobserved label's means are zero
+            label = int(rng.integers(scheme.n_groups))
+            observed[label] = False
+            zbar[d * label: d * (label + 1)] = 0.0
+        stats = GroupStats(np.where(observed, 1.0 / scheme.n_groups, 0.0), zbar,
+                           np.zeros((scheme.n_groups, d * (d - 1) // 2)), observed)
+        got = cross_group_fields(inst, scheme, stats)
+        want = looped_cross_group_fields(inst, scheme, zbar)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    @pytest.mark.parametrize("shape", [(4, 2), (8, 1), (8, 8), (16, 4), (64, 4), (64, 16)],
+                             ids=lambda s: "%dx%d" % s)
+    def test_tables_equal_per_call_indexing_and_are_read_only(self, shape, kind):
+        n, d = shape
+        inst = generate_sk(n, kind, seed=n + d)
+        scheme = make_scheme(n, d)
+        sym = inst.sym_weights
+        blocks, pairs = _group_weights(inst, scheme)
+        assert np.array_equal(sym.view(np.uint64),
+                              (inst.weights + inst.weights.T).view(np.uint64))
+        assert blocks.shape == (scheme.n_groups, d, d)
+        for label in range(scheme.n_groups):
+            sl = slice(d * label, d * (label + 1))
+            assert np.array_equal(blocks[label].view(np.uint64), sym[sl, sl].view(np.uint64))
+        want = per_call_intra_weights(inst, scheme)
+        assert np.array_equal(pairs.view(np.uint64), want.view(np.uint64))
+        assert pairs.flags.c_contiguous  # the cost's sum runs in the per-call layout's order
+        for table in (sym, blocks, pairs):
+            assert not table.flags.writeable
+        assert inst.sym_weights is sym
+        assert all(a is b for a, b in zip(_group_weights(inst, scheme), (blocks, pairs)))
+
+    def test_built_once_per_instance_and_group_size(self, monkeypatch):
+        builds = []
+        sym_property = SKInstance.__dict__["sym_weights"]
+        counted = functools.cached_property(
+            lambda inst: builds.append("sym") or sym_property.func(inst))
+        counted.__set_name__(SKInstance, "sym_weights")
+        monkeypatch.setattr(SKInstance, "sym_weights", counted)
+        build_group_weights = qeopt.estimator._build_group_weights
+        monkeypatch.setattr(qeopt.estimator, "_build_group_weights",
+                            lambda inst, d: builds.append(d) or build_group_weights(inst, d))
+        inst = generate_sk(16, "gaussian", seed=4)
+        scheme = make_scheme(16, 4)
+        config = OptimizerConfig(n_hops=1, max_local_evals=20, seed=1)
+        result = optimize(inst, scheme, 2, config)
+        assert result.eval_count > 20 and sorted(builds, key=str) == [4, "sym"]
+        optimize(inst, scheme, 2, config)
+        other = make_scheme(16, 2)
+        cross_group_fields(inst, other, exact_group_stats(other, init_plus(other.n_qubits)))
+        assert sorted(builds, key=str) == [2, 4, "sym"]
 
 
 class TestCost:
@@ -348,7 +450,7 @@ class TestHamiltonian:
         stats = exact_group_stats(scheme, state)
 
         pairs = data_pair_indices(d)
-        intra_w = _intra_weight_matrix(inst, scheme)
+        intra_w = _group_weights(inst, scheme)[1]
         h = cross_group_fields(inst, scheme, stats)
         want = []
         for label in range(scheme.n_groups):

@@ -172,12 +172,23 @@ def halves_rz(amps, qubit, phi):
     view[:, 1, :] *= np.exp(1j * phi / 2)
 
 
+def per_qubit_bias(amps, gamma_bias):
+    """The bias as it was: Rz(-2 gamma') on qubits 0..q-1, one apply_rz call
+    each, every call building its own phase pair."""
+    q = amps.size.bit_length() - 1
+    phi = -2.0 * gamma_bias
+    for qubit in range(q):
+        view = amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
+        view *= np.array([[np.exp(-1j * phi / 2)], [np.exp(1j * phi / 2)]])
+
+
 def mixer_betas(rng):
     return [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1e-9, 50.0, rng.uniform(-4, 4)]
 
 
 class TestBlockedKernels:
-    """The blocked mixer and the broadcast Rz give the looped kernels' bits."""
+    """The blocked mixer, the broadcast Rz and the one-pair bias give the
+    looped kernels' bits."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_mixer_with_small_blocks(self, monkeypatch, n):
@@ -224,6 +235,26 @@ class TestBlockedKernels:
             halves_rz(want, 0, phi)
             state.apply_rz(0, phi)
             np.testing.assert_allclose(state.amps, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_bias_is_q_rz_calls(self, monkeypatch, n):
+        monkeypatch.setattr(qeopt.simulator, "BLOCK_QUBITS", 3)
+        self.check_bias(np.random.default_rng(300 + n), n)
+
+    @pytest.mark.parametrize("n", [15, 16, 18])
+    def test_bias_is_q_rz_calls_at_the_real_block_size(self, n):
+        assert qeopt.simulator.BLOCK_QUBITS == 14
+        self.check_bias(np.random.default_rng(300 + n), n, n_angles=2)
+
+    @staticmethod
+    def check_bias(rng, n, n_angles=None):
+        angles = [1e-9, -0.4, 50.0, np.pi, rng.uniform(-7, 7)]
+        for gamma_bias in angles[-n_angles:] if n_angles else angles:
+            state = random_state(rng, n)
+            want = state.amps.copy()
+            per_qubit_bias(want, gamma_bias)
+            state.apply_bias(gamma_bias)
+            assert np.array_equal(state.amps.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [16, 18])
     def test_mixer_scratch_stays_below_the_looped_kernels(self, n):
