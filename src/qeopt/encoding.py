@@ -88,9 +88,10 @@ def is_pow2_multiple(n: int, d: int) -> bool:
 
 @cache
 def basis_spin_table(d: int) -> np.ndarray:
-    """(2**d, d) read-only table of spin values per data bit pattern, cached per d."""
+    """(2**d, d) read-only float64 table of the spins +-1.0 per data bit
+    pattern, cached per d."""
     patterns = np.arange(1 << d)[:, None]
     shifts = np.arange(d - 1, -1, -1)[None, :]
-    table = (1 - 2 * ((patterns >> shifts) & 1)).astype(np.int8)
+    table = (1 - 2 * ((patterns >> shifts) & 1)).astype(np.float64)
     table.setflags(write=False)
     return table

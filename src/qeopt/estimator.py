@@ -8,7 +8,9 @@ uses measured pair correlations and a cross-group part built from products
 of single-spin means. The same statistics define the diagonal Hamiltonian
 whose expectation reproduces the cost; its coefficients are normalized by
 the current label probabilities, so the operator depends on the state it
-was measured from.
+was measured from. Statistics and the diagonal read the encoding's float64
+spin table ``basis_spin_table`` and its pair products
+``pair_product_table``, both cached per group size.
 """
 
 from __future__ import annotations
@@ -67,21 +69,15 @@ def _pair_columns(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def spin_value_table(d: int) -> np.ndarray:
-    """(2**d, d) read-only float64 copy of the basis spin table, cached per d."""
-    table = basis_spin_table(d).astype(np.float64)
-    table.setflags(write=False)
-    return table
-
-
-@cache
 def pair_product_table(d: int) -> np.ndarray:
-    """(2**d, C(d,2)) read-only products s_a * s_b of the basis spin table, cached per d."""
-    spins = spin_value_table(d)
-    pairs = data_pair_indices(d)
-    table = np.empty((1 << d, len(pairs)))
-    for idx, (a, b) in enumerate(pairs):
-        table[:, idx] = spins[:, a] * spins[:, b]
+    """(2**d, C(d,2)) read-only products s_a * s_b of the basis spin table,
+    columns in ``_pair_columns`` order, cached per d."""
+    spins = basis_spin_table(d)
+    a, b = _pair_columns(d)
+    # column by column: a whole-table temporary would be 63 MB at d = 16
+    table = np.empty((1 << d, a.size))
+    for k in range(a.size):
+        np.multiply(spins[:, a[k]], spins[:, b[k]], out=table[:, k])
     table.setflags(write=False)
     return table
 
@@ -91,7 +87,7 @@ def exact_evaluation_bytes(scheme: EncodingScheme) -> int:
     complex states -- the prefix, its phased copy and a mixed copy, as the
     appended-layer grid holds them -- two dense diagonals and the phase's and
     separator's temporaries; the grid was measured at about 89) plus
-    ``spin_value_table(d)`` and ``pair_product_table(d)``."""
+    ``basis_spin_table(d)`` and ``pair_product_table(d)``."""
     d = scheme.group_size
     return 96 * scheme.dim + 8 * (1 << d) * (d + d * (d - 1) // 2)
 
@@ -105,7 +101,7 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
         observed = p_label > OBSERVED_EPS
     denom = np.where(observed, p_label, 1.0)
 
-    spins = spin_value_table(d)
+    spins = basis_spin_table(d)
     zbar_mat = (grouped @ spins) / denom[:, None]
     corr_mat = (grouped @ pair_product_table(d)) / denom[:, None]
     for mat in (zbar_mat, corr_mat):
@@ -261,7 +257,7 @@ def build_cost_hamiltonian(
     """Materialize the state-dependent Hamiltonian as a dense diagonal."""
     intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
     d = scheme.group_size
-    spins = spin_value_table(d)
+    spins = basis_spin_table(d)
     block = pair_product_table(d) @ intra_w.T + spins @ h_mat.T  # (2**d, N/d)
     block = block / denom[None, :]
     block[:, ~stats.observed] = 0.0

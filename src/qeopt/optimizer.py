@@ -1,4 +1,4 @@
-"""Variational parameter search, cross-size transfer, and concentration runs.
+"""Variational parameter search, cross-size transfer, and gamma scaling.
 
 The search is a basin-hopping loop: Gaussian perturbation of the incumbent
 (wrapped into the parameter box), Nelder-Mead local refinement, accept
@@ -20,7 +20,7 @@ from scipy import optimize as sciopt
 
 from qeopt.ansatz import LayerParams, appended_layer_grid, prepare_prefix, run_ansatz
 from qeopt.encoding import EncodingScheme
-from qeopt.problem import OptimumRecord, SKInstance, approximation_ratio
+from qeopt.problem import SKInstance
 from qeopt.rng import stream
 
 
@@ -230,27 +230,6 @@ def transfer_params(
     n1, d1 = to_shape
     factor = (d1 / d0) * (n0 / n1) ** 1.5
     return tuple(LayerParams(lp.beta, lp.gamma * factor, lp.gamma_bias) for lp in params)
-
-
-def concentration_experiment(
-    instances: list[SKInstance],
-    scheme: EncodingScheme,
-    params: tuple[LayerParams, ...] | list[LayerParams],
-    ground_truths: list[OptimumRecord],
-) -> np.ndarray:
-    """Approximation ratios of frozen parameters over an ensemble, one per
-    instance, against the callers' already-solved optima."""
-    if not instances:
-        raise ValueError("need at least one instance")
-    if len(ground_truths) != len(instances):
-        raise ValueError("ground_truths must match instances one-to-one")
-    ratios = []
-    for inst, record in zip(instances, ground_truths):
-        if inst.n_vars != scheme.n_vars:
-            raise ValueError("ensemble instances must match the scheme size")
-        cost = run_ansatz(inst, scheme, list(params), mode="exact").final_cost
-        ratios.append(approximation_ratio(cost, record.best_cost))
-    return np.array(ratios)
 
 
 def optimize_gamma_scale(

@@ -3,8 +3,9 @@
 The cost is C(z) = sum_{i<j} w_ij z_i z_j with z_i in {+1, -1}. Weights are
 drawn either uniformly from {+1, -1} or i.i.d. standard normal. Exact optima
 come from brute-force enumeration (N <= BRUTE_FORCE_CAP = 24); larger sizes
-use an in-repo multi-start tabu descent, which stops once no restart has
-improved for 8 sweeps, within a budget of max_sweeps * N flips.
+use an in-repo multi-start tabu descent with fixed budgets: TABU_RESTARTS
+restarts, a tabu tenure of TABU_TENURE moves, and a stop once no restart has
+improved for 8 sweeps, within a budget of TABU_MAX_SWEEPS * N flips.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from qeopt.rng import stream
 
 BRUTE_FORCE_CAP = 24
+TABU_RESTARTS, TABU_MAX_SWEEPS, TABU_TENURE = 64, 64, 8
 
 WEIGHT_KINDS = ("pm1", "gaussian")
 
@@ -171,29 +173,22 @@ def brute_force_optimum(instance: SKInstance) -> OptimumRecord:
     return OptimumRecord(best_cost=float(best), minimizers=frozenset(mins), method="brute_force")
 
 
-def local_search_optimum(
-    instance: SKInstance,
-    n_restarts: int = 64,
-    max_sweeps: int = 64,
-    tabu_tenure: int = 8,
-    seed: int = 0,
-) -> OptimumRecord:
-    """Multi-start single-flip tabu descent, restarts advanced in lockstep.
+def local_search_optimum(instance: SKInstance, seed: int = 0) -> OptimumRecord:
+    """Multi-start single-flip tabu descent, ``TABU_RESTARTS`` restarts
+    advanced in lockstep.
 
     Each restart makes best-improvement flips with a tabu list of length
-    ``tabu_tenure`` and an aspiration override when a move beats that
+    ``TABU_TENURE`` and an aspiration override when a move beats that
     restart's incumbent. The search stops once no restart's incumbent has
-    improved for 8 sweeps (8 * N moves), and after ``max_sweeps * N`` moves
-    at the latest. The minimizer is returned with z_0 = +1, as
+    improved for 8 sweeps (8 * N moves), and after ``TABU_MAX_SWEEPS * N``
+    moves at the latest. The minimizer is returned with z_0 = +1, as
     ``brute_force_optimum`` enumerates it. Deterministic given the seed.
-    Calibrated to match brute force on N <= 24 with the default budgets.
+    Calibrated to match brute force on N <= 24 with these budgets.
     """
-    if min(n_restarts, tabu_tenure) < 1 or max_sweeps < 0:
-        raise ValueError("n_restarts and tabu_tenure must be >= 1 and max_sweeps >= 0")
     n = instance.n_vars
     w_sym = instance.sym_weights
     rng = stream(seed, "tabu")
-    r = n_restarts
+    r = TABU_RESTARTS
 
     z = rng.integers(0, 2, size=(r, n)) * 2.0 - 1.0
     fields = z @ w_sym  # (R, N) local fields
@@ -204,7 +199,7 @@ def local_search_optimum(
     rows = np.arange(r)
     last_improved = 0
 
-    for move in range(max_sweeps * n):
+    for move in range(TABU_MAX_SWEEPS * n):
         # stall exit at 8 sweeps, ~2x the largest pm1 gap between improvements (4.3 N)
         if move - last_improved > 8 * n:
             break
@@ -223,7 +218,7 @@ def local_search_optimum(
         z[rr, ii] = -z[rr, ii]
         fields[rr] += 2.0 * z[rr, ii, None] * w_sym[ii]
         costs[rr] += gain[movable]
-        tabu_until[rr, ii] = move + tabu_tenure
+        tabu_until[rr, ii] = move + TABU_TENURE
         improved = rr[costs[rr] < inc_costs[rr] - 1e-12]
         if improved.size:
             inc_costs[improved] = costs[improved]

@@ -45,7 +45,12 @@ BLOCK_QUBITS = 14  # the mixer's cache block: 2**14 amplitudes, 256 KiB
 
 @dataclass(frozen=True)
 class DiagonalOperator:
-    """Real diagonal operator in the computational basis."""
+    """Real diagonal operator in the computational basis.
+
+    The operator takes ownership of its entries: a float64 array is kept
+    as it is, without a copy, and made read-only in place; other inputs are
+    converted first.
+    """
 
     n_qubits: int
     entries: np.ndarray  # (2**q,) float64
@@ -56,7 +61,6 @@ class DiagonalOperator:
             raise ValueError(f"expected {1 << self.n_qubits} entries, got {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("diagonal entries must be finite")
-        e = e.copy()
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -84,9 +88,6 @@ class Statevector:
 
     def copy(self) -> "Statevector":
         return Statevector(self.n_qubits, self.amps)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -198,7 +199,6 @@ class Statevector:
         if n_shots < 1:
             raise ValueError(f"need at least one shot, got {n_shots}")
         probs = self.probabilities()
-        probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
         rng = stream(seed, "sample", *key)
         return rng.multinomial(n_shots, probs)

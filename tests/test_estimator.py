@@ -22,7 +22,6 @@ from qeopt.estimator import (
     exact_group_stats,
     pair_product_table,
     shot_group_stats,
-    spin_value_table,
 )
 from qeopt.optimizer import OptimizerConfig, optimize
 from qeopt.problem import WEIGHT_KINDS, SKInstance, cost, generate_sk
@@ -190,16 +189,16 @@ class TestPairTables:
         spins = basis_spin_table(d).astype(np.float64)
         table = pair_product_table(d)
         assert pair_product_table(d) is table and not table.flags.writeable
+        assert table.flags.c_contiguous
         for k, (a, b) in enumerate(data_pair_indices(d)):
             assert np.array_equal(table[:, k], spins[:, a] * spins[:, b])
 
 
     @pytest.mark.parametrize("d", [1, 2, 4, 16])
     def test_spin_value_table(self, d):
-        table = spin_value_table(d)
-        assert spin_value_table(d) is table and not table.flags.writeable
+        table = basis_spin_table(d)
+        assert basis_spin_table(d) is table and not table.flags.writeable
         assert table.dtype == np.float64
-        assert np.array_equal(table, basis_spin_table(d).astype(np.float64))
 
     @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16)],
                              ids=lambda s: "%dx%d" % s)

@@ -12,7 +12,6 @@ from qeopt.ansatz import LayerParams, run_ansatz
 from qeopt.encoding import make_scheme
 from qeopt.optimizer import (
     OptimizerConfig,
-    concentration_experiment,
     fit_gamma_scaling,
     gamma_scale_hint,
     optimize,
@@ -20,7 +19,7 @@ from qeopt.optimizer import (
     transfer_params,
     warm_start_schedule,
 )
-from qeopt.problem import generate_sk, ground_truth
+from qeopt.problem import generate_sk
 from qeopt.rng import stream
 
 
@@ -108,34 +107,6 @@ class TestTransfer:
         params = (LayerParams(0.3, gamma, -0.2),)
         back = transfer_params(transfer_params(params, shape_a, shape_b), shape_b, shape_a)
         assert back[0].gamma == pytest.approx(gamma, abs=1e-12)
-
-
-class TestConcentration:
-    def test_single_instance_ensemble(self, n4_instance, n4_scheme):
-        params = (LayerParams(3 * math.pi / 8, math.pi / 8, 0.0),)
-        ratios = concentration_experiment([n4_instance], n4_scheme, params,
-                                          [ground_truth(n4_instance)])
-        assert ratios.shape == (1,)
-        assert ratios[0] == pytest.approx(0.5, abs=1e-9)
-
-    def test_ensemble_ratio_statistics(self):
-        scheme = make_scheme(16, 4)
-        instances = [generate_sk(16, "pm1", seed=s) for s in range(4)]
-        params = (LayerParams(0.4, 0.1, 0.3), LayerParams(0.3, 0.05, -0.1))
-        records = [ground_truth(inst, seed=s) for s, inst in enumerate(instances)]
-        ratios = concentration_experiment(instances, scheme, params, records)
-        assert ratios.shape == (4,)
-        assert (ratios <= 1.0 + 1e-9).all()
-        assert ratios.std() > 0
-
-    def test_size_mismatch_rejected(self, n4_instance):
-        scheme = make_scheme(8, 2)
-        params = (LayerParams(0, 0, 0),)
-        record = ground_truth(n4_instance)
-        with pytest.raises(ValueError, match="scheme size"):
-            concentration_experiment([n4_instance], scheme, params, [record])
-        with pytest.raises(ValueError, match="one-to-one"):
-            concentration_experiment([n4_instance] * 2, scheme, params, [record])
 
 
 class TestGammaScaling:

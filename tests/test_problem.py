@@ -123,7 +123,7 @@ class TestBruteForce:
 
 class TestLocalSearch:
     def test_finds_fixture_ground_state(self, n4_instance):
-        rec = local_search_optimum(n4_instance, n_restarts=8, max_sweeps=8, seed=1)
+        rec = local_search_optimum(n4_instance, seed=1)
         assert rec.best_cost == -4.0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -136,25 +136,13 @@ class TestLocalSearch:
     def test_never_below_brute_force(self):
         inst = generate_sk(12, "gaussian", seed=3)
         exact = brute_force_optimum(inst)
-        heur = local_search_optimum(inst, n_restarts=4, max_sweeps=4, seed=0)
+        heur = local_search_optimum(inst, seed=0)
         assert heur.best_cost >= exact.best_cost - 1e-9
-
-    def test_zero_sweeps_returns_initial_string_cost(self, n4_instance):
-        rec = local_search_optimum(n4_instance, n_restarts=1, max_sweeps=0, seed=7)
-        (z,) = rec.minimizers
-        assert rec.best_cost == cost(n4_instance, np.array(z))
-
-    @pytest.mark.parametrize("budgets", [dict(n_restarts=0), dict(tabu_tenure=0),
-                                         dict(max_sweeps=-1)])
-    def test_bad_budget_rejected(self, n4_instance, budgets):
-        with pytest.raises(ValueError, match="n_restarts and tabu_tenure must be >= 1 and "
-                                             "max_sweeps >= 0"):
-            local_search_optimum(n4_instance, **budgets)
 
     def test_deterministic(self):
         inst = generate_sk(32, "pm1", seed=5)
-        a = local_search_optimum(inst, n_restarts=8, max_sweeps=8, seed=2)
-        b = local_search_optimum(inst, n_restarts=8, max_sweeps=8, seed=2)
+        a = local_search_optimum(inst, seed=2)
+        b = local_search_optimum(inst, seed=2)
         assert a.best_cost == b.best_cost
         assert a.minimizers == b.minimizers
 

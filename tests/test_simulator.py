@@ -332,6 +332,18 @@ class TestDiagonal:
         with pytest.raises(ValueError):
             DiagonalOperator(2, np.ones(3))
 
+    def test_takes_ownership_without_a_copy(self):
+        entries = np.linspace(-1.0, 1.0, 8)
+        diag = DiagonalOperator(3, entries)
+        assert diag.entries is entries and not entries.flags.writeable
+        converted = DiagonalOperator(2, [1, 2.5, -3, 0])
+        assert converted.entries.dtype == np.float64 and not converted.entries.flags.writeable
+        np.testing.assert_array_equal(converted.entries, [1.0, 2.5, -3.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            DiagonalOperator(2, [1.0, np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="expected 4 entries"):
+            DiagonalOperator(2, np.ones((2, 2)))
+
 
 class TestExpectation:
     def test_all_ones_is_normalization(self):
@@ -392,4 +404,4 @@ def test_norm_preserved_by_random_gate_sequences(seed):
         else:
             diag = DiagonalOperator(q, rng.standard_normal(1 << q))
             state.apply_diagonal_phase(diag, float(rng.uniform(-1, 1)))
-    assert abs(state.norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-10
