@@ -3,7 +3,7 @@
 Stores N binary variables in q = d + log2(N/d) qubits by superposing N/d
 groups of d spins over a label register, optimizes a layered ansatz whose
 phase separator is rebuilt from measurement statistics of the previous
-layer, and compiles the resulting circuits to an {Rx(pi/2), Rz, iSWAP}
+layer, and compiles the resulting circuits to an {Rx(pi/2), Rz, iSWAP, X}
 native gate set.
 """
 

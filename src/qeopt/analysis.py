@@ -21,11 +21,6 @@ from qeopt.estimator import estimate_cost, shot_group_stats
 from qeopt.problem import SKInstance, brute_force_optimum
 from qeopt.rng import stream
 
-@dataclass(frozen=True)
-class EntropyProfile:
-    group_sizes: tuple[int, ...]
-    mean_entropy: np.ndarray  # bits, one entry per group size
-
 
 @dataclass(frozen=True)
 class BaselineTable:
@@ -73,12 +68,7 @@ def data_entropy(scheme: EncodingScheme, spins: np.ndarray, lambdas: np.ndarray 
     _, inverse = np.unique(packed, axis=0, return_inverse=True)
     merged = np.bincount(inverse, weights=weights)
     merged = merged[merged > 0]
-    entropy = float(-np.sum(merged * np.log2(merged)))
-
-    bound = min(scheme.group_size, scheme.n_label_qubits)
-    if entropy > bound + 1e-9:
-        raise AssertionError(f"entropy {entropy} exceeds Schmidt bound {bound}")
-    return entropy
+    return float(-np.sum(merged * np.log2(merged)))
 
 
 def entropy_profile(
@@ -86,8 +76,9 @@ def entropy_profile(
     group_sizes: list[int],
     n_samples: int = 100,
     seed: int = 0,
-) -> EntropyProfile:
-    """Mean data entropy over uniformly random strings, uniform lambdas."""
+) -> np.ndarray:
+    """Mean data entropy (bits) over uniformly random strings, uniform
+    lambdas: one entry per group size."""
     means = []
     for d in group_sizes:
         scheme = make_scheme(n_vars, d)
@@ -97,7 +88,7 @@ def entropy_profile(
             spins = rng.integers(0, 2, size=n_vars) * 2 - 1
             total += data_entropy(scheme, spins)
         means.append(total / n_samples)
-    return EntropyProfile(group_sizes=tuple(group_sizes), mean_entropy=np.array(means))
+    return np.array(means)
 
 
 def baseline_ratio(p: int, n_vars: int, group_size: int, table: BaselineTable) -> float:

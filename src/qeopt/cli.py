@@ -27,8 +27,8 @@ from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
 from qeopt.compiler import compile_layer, dumps
 from qeopt.encoding import is_pow2_multiple, make_scheme
 from qeopt.estimator import exact_evaluation_bytes, exact_group_stats
-from qeopt.problem import (approximation_ratio, example_instance_n4, generate_sk, ground_truth,
-                           pad_instance)
+from qeopt.problem import (WEIGHT_KINDS, approximation_ratio, example_instance_n4, generate_sk,
+                           ground_truth, pad_instance)
 from qeopt.rng import stream
 from qeopt.simulator import init_plus
 
@@ -75,17 +75,16 @@ def _reconstruct_argv(ctx: click.Context) -> list[str]:
         if value is None:
             continue
         flag = param.opts[0]
-        if isinstance(param, click.Option):
-            if param.is_flag:
-                if value:
-                    argv.append(flag)
-                elif param.secondary_opts:
-                    argv.append(param.secondary_opts[0])
-            elif param.multiple:
-                for item in value:
-                    argv += [flag, str(item)]
-            else:
-                argv += [flag, str(value)]
+        if param.is_flag:
+            if value:
+                argv.append(flag)
+            elif param.secondary_opts:
+                argv.append(param.secondary_opts[0])
+        elif param.multiple:
+            for item in value:
+                argv += [flag, str(item)]
+        else:
+            argv += [flag, str(value)]
     return argv
 
 
@@ -181,12 +180,13 @@ def _pmap(fn, items, jobs: int):
 
 
 class _Group(click.Group):
-    """Command group whose bad input files and numeric failures exit with code 3."""
+    """Command group whose bad input files, numeric failures and inputs too
+    large to hold in memory exit with code 3."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             raise RuntimeFailure(str(exc))
 
 
@@ -203,7 +203,7 @@ def main():
 # ---------------------------------------------------------------------------
 @main.command()
 @click.option("--n", type=int, default=64, show_default=True, help="Variable count N.")
-@click.option("--kind", type=click.Choice(["pm1", "gaussian"]), default="pm1", show_default=True)
+@click.option("--kind", type=click.Choice(WEIGHT_KINDS), default="pm1", show_default=True)
 @click.option("--count", type=int, default=1, show_default=True, help="Instances to write.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--fixture-n4", is_flag=True, help="Write the fixed 4-variable worked instance instead.")
@@ -352,11 +352,8 @@ def entropy(n, d_list, samples, seed, out):
     _fail_usage([f"d={d} does not divide N={n} with a power-of-two quotient"
                  for d in ds if not is_pow2_multiple(n, d)])
     out_path = _resolve_out(out, "entropy.csv")
-    profile = ana.entropy_profile(n, ds, n_samples=samples, seed=seed)
-    rows = [
-        [d, s, min(d, int(math.log2(n // d)))]
-        for d, s in zip(profile.group_sizes, profile.mean_entropy)
-    ]
+    means = ana.entropy_profile(n, ds, n_samples=samples, seed=seed)
+    rows = [[d, s, min(d, int(math.log2(n // d)))] for d, s in zip(ds, means)]
     runfiles.write_csv(out_path, ["d", "mean_entropy_bits", "bound_bits"], rows)
     _emit([], out_path)
     click.echo(f"wrote {out_path}")
@@ -454,7 +451,7 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
 
 
 # ---------------------------------------------------------------------------
-def _concentration_worker(seed, task):
+def _transfer_worker(seed, task):
     inst, scheme, layers = task
     record = ground_truth(inst, seed=seed)
     trace = run_ansatz(inst, scheme, list(layers), mode="exact")
@@ -486,13 +483,12 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     out_path = _resolve_out(out, "transfer.csv")
     donor_inst, donor_scheme = _load_instance(donor_instance, d, allow_padding=False)
     targets = [_load_instance(path, d, allow_padding=False) for path in target_paths]
-    if layers is None:
-        _check_memory(donor_scheme)
     _check_memory(max((scheme for _, scheme in targets), key=lambda scheme: scheme.dim),
                   min(jobs, len(targets)))
     if layers is not None:
         donor_ratio = float("nan")
     else:
+        _check_memory(donor_scheme)
         record = ground_truth(donor_inst, seed=seed)
         donor = opt.warm_start_schedule(donor_inst, donor_scheme, p,
                                         opt.OptimizerConfig(n_hops=hops, seed=seed))[p]
@@ -502,7 +498,7 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     tasks = [(target, scheme,
               opt.transfer_params(layers, (donor_inst.n_vars, d), (target.n_vars, d)))
              for target, scheme in targets]
-    results = _pmap(partial(_concentration_worker, seed), tasks, jobs)
+    results = _pmap(partial(_transfer_worker, seed), tasks, jobs)
     rows = [
         [Path(path).name, target.n_vars, d, len(layers), cost, c_star, method,
          approximation_ratio(cost, c_star), donor_ratio, _params_text(scaled)]

@@ -79,8 +79,8 @@ class _CostFunction:
         self.layers = np.zeros((p, 3))
         if config.initial is not None:
             self.layers[:, 2] = [lp.gamma_bias for lp in config.initial]
-        self.lows = np.array([lo for lo, _ in BOUNDS[: self.width]])
-        self.highs = np.array([hi for _, hi in BOUNDS[: self.width]])
+        lo, hi = np.array(BOUNDS[: self.width]).T
+        self.box = sciopt.Bounds(np.tile(lo, p), np.tile(hi, p))
 
     def pack(self, params: list[LayerParams]) -> np.ndarray:
         rows = np.array([(lp.beta, lp.gamma, lp.gamma_bias) for lp in params])
@@ -93,11 +93,8 @@ class _CostFunction:
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Map parameters back into the box using their periodicity."""
-        x = np.reshape(x, (self.p, self.width))
-        return (self.lows + np.mod(x - self.lows, self.highs - self.lows)).ravel()
-
-    def bounds_list(self) -> list[tuple[float, float]]:
-        return list(BOUNDS[: self.width]) * self.p
+        lb, ub = self.box.lb, self.box.ub
+        return lb + np.mod(x - lb, ub - lb)
 
     def hop_scales(self) -> np.ndarray:
         gamma = max(0.5 * gamma_scale_hint(self.scheme), 1e-3)
@@ -117,9 +114,9 @@ class _CostFunction:
 def _local_refine(fn: _CostFunction, x0: np.ndarray) -> None:
     sciopt.minimize(
         fn,
-        np.clip(x0, np.tile(fn.lows, fn.p), np.tile(fn.highs, fn.p)),
+        x0,
         method="Nelder-Mead",
-        bounds=fn.bounds_list(),
+        bounds=fn.box,
         options={"maxfev": fn.config.max_local_evals, "fatol": LOCAL_TOL, "xatol": LOCAL_TOL},
     )
 
@@ -255,9 +252,7 @@ def optimize_gamma_scale(
     k = int(np.argmin(values))
     lo = scan[max(0, k - 1)]
     hi = scan[min(len(scan) - 1, k + 1)]
-    if lo == hi:
-        return float(scan[k])
-    res = sciopt.minimize_scalar(cost_at, bounds=(min(lo, hi), max(lo, hi)), method="bounded",
+    res = sciopt.minimize_scalar(cost_at, bounds=(lo, hi), method="bounded",
                                  options={"xatol": 1e-6})
     return float(res.x) if res.fun <= values[k] else float(scan[k])
 
@@ -267,14 +262,13 @@ class ScalingFit:
     exponent: float
     prefactor: float
     residuals: np.ndarray
-    low_confidence: bool
 
 
 def fit_gamma_scaling(points: list[tuple[int, int, float]]) -> ScalingFit:
     """Least-squares fit of log|theta| against log(d / N^(3/2)).
 
     ``points`` holds (N, d, theta_opt) records; the expected exponent is 1.
-    Fewer than three points still fit but are flagged low-confidence.
+    Two points already fit, with no residual to judge the fit by.
     """
     if len(points) < 2:
         raise ValueError("need at least two (N, d, theta) points")
@@ -291,5 +285,4 @@ def fit_gamma_scaling(points: list[tuple[int, int, float]]) -> ScalingFit:
         exponent=float(slope),
         prefactor=float(math.exp(intercept)),
         residuals=residuals,
-        low_confidence=len(points) < 3,
     )

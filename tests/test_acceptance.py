@@ -225,8 +225,8 @@ def test_criterion_07_compiler_correctness():
 def test_criterion_08_entropy_regimes():
     t0 = time.time()
     n = 1 << 16
-    profile = entropy_profile(n, [1, 2, 4, 8, 256, 1024], n_samples=100, seed=8)
-    by_d = dict(zip(profile.group_sizes, profile.mean_entropy))
+    ds = [1, 2, 4, 8, 256, 1024]
+    by_d = dict(zip(ds, entropy_profile(n, ds, n_samples=100, seed=8)))
     gaps_small = {d: abs(by_d[d] - d) for d in (1, 2, 4, 8)}
     gaps_large = {d: abs(by_d[d] - np.log2(n // d)) for d in (256, 1024)}
     ok = max(gaps_small.values()) < 0.1 and max(gaps_large.values()) < 0.1

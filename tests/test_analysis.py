@@ -65,15 +65,15 @@ class TestEntropyProfile:
     def test_reproducible(self):
         a = entropy_profile(256, [2, 4], n_samples=5, seed=3)
         b = entropy_profile(256, [2, 4], n_samples=5, seed=3)
-        np.testing.assert_array_equal(a.mean_entropy, b.mean_entropy)
+        np.testing.assert_array_equal(a, b)
 
     def test_small_d_regime_tracks_d(self):
-        profile = entropy_profile(1 << 16, [1, 2], n_samples=10, seed=1)
-        np.testing.assert_allclose(profile.mean_entropy, [1.0, 2.0], atol=0.1)
+        means = entropy_profile(1 << 16, [1, 2], n_samples=10, seed=1)
+        np.testing.assert_allclose(means, [1.0, 2.0], atol=0.1)
 
     def test_large_d_regime_tracks_label_count(self):
-        profile = entropy_profile(1 << 12, [256, 1024], n_samples=5, seed=2)
-        np.testing.assert_allclose(profile.mean_entropy, [4.0, 2.0], atol=1e-9)
+        means = entropy_profile(1 << 12, [256, 1024], n_samples=5, seed=2)
+        np.testing.assert_allclose(means, [4.0, 2.0], atol=1e-9)
 
     def test_invalid_d_rejected(self):
         with pytest.raises(ValueError):

@@ -840,6 +840,27 @@ def test_memory_reading_passes_what_fits(runner, fixture_file, tmp_path, monkeyp
     assert Path(written).exists()
 
 
+# every size is above 2**47 bytes, more than a 64-bit host's user address
+# space, so the allocation fails at once whatever the overcommit setting
+@pytest.mark.parametrize("case", ["generate", "entropy", "solve"])
+def test_input_too_large_to_hold_exits_3(runner, fixture_file, tmp_path, case):
+    out = tmp_path / "out"
+    if case == "generate":  # 35.5 PiB of pair signs
+        argv = ["generate", "--n", "100000000", "--out", str(out)]
+    elif case == "entropy":  # 8 PiB of spins at N = 2**50
+        argv = ["entropy", "--n", str(2**50), "--d-list", "1", "--samples", "1",
+                "--out", str(out / "entropy.csv")]
+    else:  # a 71.1 PiB weight matrix, read from a header alone
+        fixture_file.write_text("# qeopt instance v1\nn_vars 100000000\nweight_kind pm1\n"
+                                "seed 0\nn_weights 0\n")
+        argv = ["solve", "--instance", str(fixture_file), "--d", "4",
+                "--out", str(out / "solve.csv")]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert one_error_line(result) and "Unable to allocate" in result.output
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
 @pytest.mark.parametrize("cgroup, want", [(None, 2**33), ("max\n", 2**33), ("2147483648\n", 2**31),
                                           ("99999999999999\n", 2**33)])
 def test_memory_limit_is_the_lower_of_ram_and_cgroup(monkeypatch, cgroup, want):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize as sciopt
 
@@ -115,12 +115,11 @@ class TestGammaScaling:
         fit = fit_gamma_scaling(points)
         assert fit.exponent == pytest.approx(1.0, abs=1e-12)
         assert fit.prefactor == pytest.approx(3.7, rel=1e-12)
-        assert not fit.low_confidence
         np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-12)
 
-    def test_two_points_flagged_low_confidence(self):
+    def test_two_points_still_fit(self):
         fit = fit_gamma_scaling([(16, 2, 1.0), (64, 2, 0.125)])
-        assert fit.low_confidence
+        assert fit.exponent == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -151,6 +150,49 @@ class TestConfigValidation:
         config = OptimizerConfig(initial=(LayerParams(0, 0, 0),))
         with pytest.raises(ValueError, match="layers"):
             optimize(n4_instance, n4_scheme, 2, config)
+
+
+class TestNelderMeadBox:
+    """Every Nelder-Mead start already lies in the closed box, so none is clipped."""
+
+    # at N = d = 4 the hint is capped at pi/2, so the presearch grid reaches
+    # gamma = +-pi, and this instance's presearch picks gamma = -pi
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
+    @pytest.mark.parametrize("n, d, kind, seed", [(4, 4, "gaussian", 28), (4, 2, "pm1", 6),
+                                                  (16, 4, "pm1", 20)], ids=["4x4", "4x2", "16x4"])
+    def test_every_start_lies_in_the_box(self, monkeypatch, n, d, kind, seed, frozen):
+        scheme = make_scheme(n, d)
+        inst = generate_sk(n, kind, seed=seed)
+        starts = []
+        minimize = sciopt.minimize
+
+        def recording_minimize(fun, x0, *args, bounds, **kwargs):
+            starts.append((np.array(x0), bounds.lb.copy(), bounds.ub.copy()))
+            return minimize(fun, x0, *args, bounds=bounds, **kwargs)
+
+        monkeypatch.setattr(optimizer.sciopt, "minimize", recording_minimize)
+        config = OptimizerConfig(n_hops=3, max_local_evals=30, freeze_gamma_bias=frozen, seed=n)
+        for p in (1, 2):
+            optimize(inst, scheme, p, config)
+        warm_start_schedule(inst, scheme, 3, config)
+        assert len(starts) == (2 + 3) * (1 + config.n_hops)
+        for x0, lb, ub in starts:
+            assert np.all(lb <= x0) and np.all(x0 <= ub), (x0, lb, ub)
+        if n == d:
+            assert gamma_scale_hint(scheme) == math.pi / 2
+            assert starts[0][0][1] == starts[0][1][1] == -math.pi
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+           st.booleans())
+    @example([-1e-300, np.nextafter(-math.pi, -4.0)] * 3, False)
+    def test_wrap_lands_in_the_box(self, values, frozen):
+        # a value a hair below a lower bound wraps onto the upper bound, which
+        # is still in the closed box that Nelder-Mead is given
+        config = OptimizerConfig(freeze_gamma_bias=frozen)
+        fn = optimizer._CostFunction(generate_sk(4, "pm1", seed=0), make_scheme(4, 2), 2, config)
+        x = fn.wrap(np.array(values[: fn.n_params]))
+        assert np.all(fn.box.lb <= x) and np.all(x <= fn.box.ub)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +354,7 @@ class TestAgreementWithStrideLayout:
             x[::2] = np.round(x[::2])  # hit the wrap boundaries too
             assert np.array_equal(as_array(new.unpack(x)), as_array(old.unpack(x)))
             assert np.array_equal(new.wrap(x), old.wrap(x))
-            assert new.bounds_list() == old.bounds_list()
+            assert list(zip(new.box.lb, new.box.ub)) == old.bounds_list()
             assert np.array_equal(new.hop_scales(), old.hop_scales())
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
