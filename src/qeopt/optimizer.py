@@ -7,6 +7,9 @@ in [-pi, pi); Nelder-Mead stops at tolerance ``LOCAL_TOL``.
 Optimal gamma coefficients shrink like d/N^(3/2), which both sets the hop
 scale for gamma and gives the rescaling rule for reusing parameters across
 problem sizes.
+scipy is imported inside the three functions that call it, because it is
+most of a cold start and most commands never search (``tests/test_cli.py``
+checks that only a search loads it).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from qeopt.ansatz import LayerParams, appended_layer_grid, prepare_prefix, run_ansatz
 from qeopt.encoding import EncodingScheme
@@ -66,6 +68,8 @@ class _CostFunction:
     """
 
     def __init__(self, instance, scheme, p, config):
+        from scipy import optimize as sciopt
+
         self.instance = instance
         self.scheme = scheme
         self.start = prepare_prefix(instance, scheme)
@@ -112,6 +116,8 @@ class _CostFunction:
 
 
 def _local_refine(fn: _CostFunction, x0: np.ndarray) -> None:
+    from scipy import optimize as sciopt
+
     sciopt.minimize(
         fn,
         x0,
@@ -241,6 +247,8 @@ def optimize_gamma_scale(
     decades (the size-transfer law is a positive rescaling). The coarse
     winner is refined with a bounded scalar search.
     """
+    from scipy import optimize as sciopt
+
     scan = np.geomspace(0.02, 50.0, 81)
     start = prepare_prefix(instance, scheme)
 

@@ -3,6 +3,8 @@ import ctypes
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +334,42 @@ class TestWorkerPool:
 
     def test_one_item_runs_inline(self):
         assert {pid for pid, _, _ in cli._pmap(blas_threads, range(1), 2)} == {os.getpid()}
+
+
+def scipy_modules_after(tmp_path, *argvs):
+    """The scipy modules a fresh interpreter holds after `import qeopt.cli,
+    qeopt.optimizer`, then after each argv run in-process through cli.main."""
+    script = (
+        "import json, sys\n"
+        "import qeopt.cli, qeopt.optimizer\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "steps = [loaded()]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    qeopt.cli.main(argv, standalone_mode=False)\n"
+        "    steps.append(loaded())\n"
+        "print(json.dumps(steps))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportBoundary:
+    """Only a search loads scipy: it is most of a cold start, and every
+    spawned --jobs worker imports qeopt.cli afresh."""
+
+    def test_import_and_compile_check_load_no_scipy(self, tmp_path):
+        argv = ["compile-check", "--n", "8", "--d", "2", "--out", "c.txt"]
+        assert scipy_modules_after(tmp_path, argv) == [[], []]
+        assert (tmp_path / "c.txt").exists()
+
+    def test_solve_loads_scipy_optimize(self, tmp_path, fixture_file):
+        argv, _ = RERUN_CASES["solve"](str(fixture_file), "solve.csv")
+        before, after = scipy_modules_after(tmp_path, argv)
+        assert before == [] and "scipy.optimize" in after
+        assert (tmp_path / "solve.csv").exists()
 
 
 class TestEntropyCmd:
@@ -777,10 +815,11 @@ def test_flag_below_its_minimum_exits_2(runner, fixture_file, tmp_path, command,
 
 
 def test_exact_evaluation_bytes_at_d22():
-    # the pair table alone holds 8 * 2**22 * C(22, 2) bytes, 7.75 GB
+    # the pair table alone holds 8 * 2**22 * C(22, 2) bytes, 7.75 GB; the
+    # instance's weights and sym_weights add 16 * 44**2
     scheme = make_scheme(44, 22)
     assert scheme.n_qubits == 23
-    assert exact_evaluation_bytes(scheme) == 96 * 2**23 + 8 * 2**22 * (22 + 231)
+    assert exact_evaluation_bytes(scheme) == 96 * 2**23 + 8 * 2**22 * (22 + 231) + 16 * 44**2
     assert exact_evaluation_bytes(scheme) > 7.8 * 2**30
 
 

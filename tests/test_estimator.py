@@ -175,7 +175,8 @@ def reference_pair_list_cost(instance, scheme, stats):
 class TestPairTables:
     """The per-d cached pair tables give the values the per-call pair lists gave."""
 
-    @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16)],
+    # (24, 12): a table of 16 row blocks at a d other than 16
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16), (24, 12)],
                              ids=lambda s: "%dx%d" % s)
     def test_bit_identical_to_pair_list_path(self, shape):
         n, d = shape

@@ -170,7 +170,7 @@ class TestNelderMeadBox:
             starts.append((np.array(x0), bounds.lb.copy(), bounds.ub.copy()))
             return minimize(fun, x0, *args, bounds=bounds, **kwargs)
 
-        monkeypatch.setattr(optimizer.sciopt, "minimize", recording_minimize)
+        monkeypatch.setattr(sciopt, "minimize", recording_minimize)
         config = OptimizerConfig(n_hops=3, max_local_evals=30, freeze_gamma_bias=frozen, seed=n)
         for p in (1, 2):
             optimize(inst, scheme, p, config)
