@@ -9,10 +9,8 @@ invocation reproduces output files byte-for-byte. Exit codes: 0 success,
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -174,6 +172,9 @@ def _pmap(fn, items, jobs: int):
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    import multiprocessing  # here: a run with one job never loads the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with _environ(WORKER_ENV), ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, items))

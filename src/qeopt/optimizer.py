@@ -7,9 +7,11 @@ in [-pi, pi); Nelder-Mead stops at tolerance ``LOCAL_TOL``.
 Optimal gamma coefficients shrink like d/N^(3/2), which both sets the hop
 scale for gamma and gives the rescaling rule for reusing parameters across
 problem sizes.
-scipy is imported inside the three functions that call it, because it is
-most of a cold start and most commands never search (``tests/test_cli.py``
-checks that only a search loads it).
+The two local searches, ``_nelder_mead`` and ``_bounded_brent``, repeat
+the float steps of SciPy 1.17's bounded Nelder-Mead and bounded Brent
+(``minimize_scalar(method="bounded")``) for the options used here; the
+lock-step tests in ``tests/test_optimizer.py`` compare every evaluated point
+with SciPy's.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ class _CostFunction:
     """
 
     def __init__(self, instance, scheme, p, config):
-        from scipy import optimize as sciopt
-
         self.instance = instance
         self.scheme = scheme
         self.start = prepare_prefix(instance, scheme)
@@ -84,7 +84,7 @@ class _CostFunction:
         if config.initial is not None:
             self.layers[:, 2] = [lp.gamma_bias for lp in config.initial]
         lo, hi = np.array(BOUNDS[: self.width]).T
-        self.box = sciopt.Bounds(np.tile(lo, p), np.tile(hi, p))
+        self.box = (np.tile(lo, p), np.tile(hi, p))
 
     def pack(self, params: list[LayerParams]) -> np.ndarray:
         rows = np.array([(lp.beta, lp.gamma, lp.gamma_bias) for lp in params])
@@ -97,7 +97,7 @@ class _CostFunction:
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Map parameters back into the box using their periodicity."""
-        lb, ub = self.box.lb, self.box.ub
+        lb, ub = self.box
         return lb + np.mod(x - lb, ub - lb)
 
     def hop_scales(self) -> np.ndarray:
@@ -115,16 +115,80 @@ class _CostFunction:
         return cost
 
 
-def _local_refine(fn: _CostFunction, x0: np.ndarray) -> None:
-    from scipy import optimize as sciopt
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after the last one the budget allows."""
 
-    sciopt.minimize(
-        fn,
-        x0,
-        method="Nelder-Mead",
-        bounds=fn.box,
-        options={"maxfev": fn.config.max_local_evals, "fatol": LOCAL_TOL, "xatol": LOCAL_TOL},
-    )
+
+def _nelder_mead(func, x0: np.ndarray, lb: np.ndarray, ub: np.ndarray, maxfev: int) -> None:
+    """Minimize ``func`` from ``x0`` with Nelder-Mead clipped to [lb, ub].
+
+    The steps, the clipping, the sorts and the stop on ``maxfev`` evaluations
+    or on ``LOCAL_TOL`` in x and f are those of SciPy's non-adaptive
+    ``minimize(method="Nelder-Mead", bounds=...)``, float operation for float
+    operation, so the same points are evaluated in the same order. ``x0``
+    must lie in the box; the caller reads the result from ``func``.
+    """
+    n = len(x0)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(x)
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # each vertex moves one coordinate by 5%, or to 0.00025 from 0; a vertex
+    # past ub is reflected inside rather than clipped onto its neighbours
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = by_value(sim, fsim)
+    sim, fsim = by_value(sim, fsim)
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= LOCAL_TOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= LOCAL_TOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lb, ub)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lb, ub)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lb, ub)
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # contract inside
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lb, ub)
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lb, ub)
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
 
 
 def _presearch(fn: _CostFunction) -> np.ndarray:
@@ -162,13 +226,13 @@ def optimize(
 
     rng = stream(config.seed, "hops")
     if config.max_local_evals > 1:
-        _local_refine(fn, x0)
+        _nelder_mead(fn, x0, *fn.box, config.max_local_evals)
     history = [fn.best_cost]
     scales = fn.hop_scales()
     for _ in range(config.n_hops):
         candidate = fn.wrap(fn.best_x + scales * rng.standard_normal(fn.n_params))
         before = fn.best_cost
-        _local_refine(fn, candidate)
+        _nelder_mead(fn, candidate, *fn.box, config.max_local_evals)
         if fn.best_cost < before:
             history.append(fn.best_cost)
 
@@ -247,8 +311,6 @@ def optimize_gamma_scale(
     decades (the size-transfer law is a positive rescaling). The coarse
     winner is refined with a bounded scalar search.
     """
-    from scipy import optimize as sciopt
-
     scan = np.geomspace(0.02, 50.0, 81)
     start = prepare_prefix(instance, scheme)
 
@@ -260,9 +322,85 @@ def optimize_gamma_scale(
     k = int(np.argmin(values))
     lo = scan[max(0, k - 1)]
     hi = scan[min(len(scan) - 1, k + 1)]
-    res = sciopt.minimize_scalar(cost_at, bounds=(lo, hi), method="bounded",
-                                 options={"xatol": 1e-6})
-    return float(res.x) if res.fun <= values[k] else float(scan[k])
+    x, fx = _bounded_brent(cost_at, lo, hi)
+    return float(x) if fx <= values[k] else float(scan[k])
+
+
+def _bounded_brent(func, lo: float, hi: float) -> tuple[float, float]:
+    """Brent's bounded scalar minimization of ``func`` on [lo, hi]: the best
+    point and its value.
+
+    The golden-section and parabolic steps and the stop at x tolerance 1e-6
+    or 500 evaluations are those of SciPy's
+    ``minimize_scalar(method="bounded", options={"xatol": 1e-6})``, float
+    operation for float operation.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    xatol = 1e-6
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm < xf else tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 @dataclass(frozen=True)

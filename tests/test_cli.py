@@ -336,40 +336,50 @@ class TestWorkerPool:
         assert {pid for pid, _, _ in cli._pmap(blas_threads, range(1), 2)} == {os.getpid()}
 
 
-def scipy_modules_after(tmp_path, *argvs):
-    """The scipy modules a fresh interpreter holds after `import qeopt.cli,
-    qeopt.optimizer`, then after each argv run in-process through cli.main."""
+def modules_after(tmp_path, prefixes, *argvs):
+    """The modules under ``prefixes`` that a fresh interpreter holds after
+    `import qeopt.cli, qeopt.optimizer`, then after each argv run in-process
+    through cli.main."""
     script = (
         "import json, sys\n"
         "import qeopt.cli, qeopt.optimizer\n"
+        "prefixes = tuple(json.loads(sys.argv[1]))\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in prefixes)\n"
         "steps = [loaded()]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
+        "for argv in json.loads(sys.argv[2]):\n"
         "    qeopt.cli.main(argv, standalone_mode=False)\n"
         "    steps.append(loaded())\n"
         "print(json.dumps(steps))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(prefixes), json.dumps(argvs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestImportBoundary:
-    """Only a search loads scipy: it is most of a cold start, and every
-    spawned --jobs worker imports qeopt.cli afresh."""
+    """No command loads scipy, once most of a cold start, and a run with one
+    job loads no process pool."""
+
+    LAZY = ["scipy", "multiprocessing", "concurrent"]
 
     def test_import_and_compile_check_load_no_scipy(self, tmp_path):
         argv = ["compile-check", "--n", "8", "--d", "2", "--out", "c.txt"]
-        assert scipy_modules_after(tmp_path, argv) == [[], []]
+        assert modules_after(tmp_path, self.LAZY, argv) == [[], []]
         assert (tmp_path / "c.txt").exists()
 
-    def test_solve_loads_scipy_optimize(self, tmp_path, fixture_file):
+    def test_solve_loads_no_scipy_or_pool(self, tmp_path, fixture_file):
         argv, _ = RERUN_CASES["solve"](str(fixture_file), "solve.csv")
-        before, after = scipy_modules_after(tmp_path, argv)
-        assert before == [] and "scipy.optimize" in after
+        assert modules_after(tmp_path, self.LAZY, argv) == [[], []]
         assert (tmp_path / "solve.csv").exists()
+
+    def test_transfer_loads_no_scipy_or_pool(self, tmp_path, fixture_file):
+        argv = ["transfer", "--donor-instance", str(fixture_file), "--target-instance",
+                str(fixture_file), "--d", "2", "--p", "1", "--hops", "1", "--jobs", "1",
+                "--out", "transfer.csv"]
+        assert modules_after(tmp_path, self.LAZY, argv) == [[], []]
+        assert (tmp_path / "transfer.csv").exists()
 
 
 class TestEntropyCmd:

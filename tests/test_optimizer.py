@@ -164,13 +164,13 @@ class TestNelderMeadBox:
         scheme = make_scheme(n, d)
         inst = generate_sk(n, kind, seed=seed)
         starts = []
-        minimize = sciopt.minimize
+        nelder_mead = optimizer._nelder_mead
 
-        def recording_minimize(fun, x0, *args, bounds, **kwargs):
-            starts.append((np.array(x0), bounds.lb.copy(), bounds.ub.copy()))
-            return minimize(fun, x0, *args, bounds=bounds, **kwargs)
+        def recording_nelder_mead(func, x0, lb, ub, maxfev):
+            starts.append((x0.copy(), lb.copy(), ub.copy()))
+            nelder_mead(func, x0, lb, ub, maxfev)
 
-        monkeypatch.setattr(sciopt, "minimize", recording_minimize)
+        monkeypatch.setattr(optimizer, "_nelder_mead", recording_nelder_mead)
         config = OptimizerConfig(n_hops=3, max_local_evals=30, freeze_gamma_bias=frozen, seed=n)
         for p in (1, 2):
             optimize(inst, scheme, p, config)
@@ -192,7 +192,71 @@ class TestNelderMeadBox:
         config = OptimizerConfig(freeze_gamma_bias=frozen)
         fn = optimizer._CostFunction(generate_sk(4, "pm1", seed=0), make_scheme(4, 2), 2, config)
         x = fn.wrap(np.array(values[: fn.n_params]))
-        assert np.all(fn.box.lb <= x) and np.all(x <= fn.box.ub)
+        lb, ub = fn.box
+        assert np.all(lb <= x) and np.all(x <= ub)
+
+
+def recorder(func):
+    """``func`` and the list of copies of the points it is called at."""
+    points = []
+
+    def recording(x):
+        points.append(np.copy(x))
+        return func(x)
+
+    return recording, points
+
+
+def bowl(x):
+    return float(np.sum((np.arange(1, len(x) + 1) * (x - 0.4)) ** 2) + x[0] * x[-1])
+
+
+def rosenbrock(x):
+    return float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+class TestLockStepWithSciPy:
+    """The in-repo searches evaluate SciPy's points, in SciPy's order, bit for bit."""
+
+    @pytest.mark.parametrize("func, x0, lb, ub, maxfev", [
+        (bowl, [1.0, -0.5, 2.0], [0.0, -math.pi, -math.pi], [math.pi, math.pi, math.pi], 2000),
+        (bowl, [0.97 * math.pi, 1.0], [0.0, -math.pi], [math.pi, math.pi], 2000),
+        (bowl, [0.0, 0.5, 0.0, -1.0], [0.0] + [-math.pi] * 3, [math.pi] * 4, 2000),
+        (bowl, [0.3, 0.2, 0.1, -0.1], [0.0] + [-math.pi] * 3, [math.pi] * 4, 3),
+        (lambda x: 1.5, [0.3, 0.2, -0.1], [0.0] + [-math.pi] * 2, [math.pi] * 3, 12),
+        (lambda x: math.floor(8 * bowl(x)) / 8, [1.0, -0.5, 2.0], [0.0, -math.pi, -math.pi],
+         [math.pi] * 3, 2000),
+        (rosenbrock, [-1.2, 1.0, 0.5], [-math.pi] * 3, [math.pi] * 3, 2000),
+    ], ids=["converges", "reflected-start", "zero-coordinates", "budget-below-simplex",
+            "constant-ends-in-shrink", "terraced-ties", "rosenbrock"])
+    def test_nelder_mead(self, func, x0, lb, ub, maxfev):
+        x0, lb, ub = np.array(x0), np.array(lb), np.array(ub)
+        ours, our_points = recorder(func)
+        optimizer._nelder_mead(ours, x0, lb, ub, maxfev)
+        theirs, their_points = recorder(func)
+        sciopt.minimize(theirs, x0, method="Nelder-Mead", bounds=sciopt.Bounds(lb, ub),
+                        options={"maxfev": maxfev, "xatol": optimizer.LOCAL_TOL,
+                                 "fatol": optimizer.LOCAL_TOL})
+        assert len(our_points) == len(their_points) <= maxfev
+        assert all(np.array_equal(a, b) for a, b in zip(our_points, their_points))
+        if maxfev == 2000:  # stopped on tolerance, not on the budget
+            assert len(our_points) < maxfev
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda x: (x - 1.3) ** 2, 0.0, 3.0),
+        (lambda x: 2.0 * x + 1.0, 0.5, 2.0),
+        (lambda x: -0.25, 0.1, 0.7),
+        (math.cos, 2.0, 11.0),
+        (lambda x: 3.7 * (x + 0.0123) ** 2 + x**4, -2.0, 1.5),
+    ], ids=["parabola", "monotone", "constant", "cos-two-minima", "quartic"])
+    def test_bounded_brent(self, func, lo, hi):
+        ours, our_points = recorder(func)
+        x, fx = optimizer._bounded_brent(ours, lo, hi)
+        theirs, their_points = recorder(func)
+        res = sciopt.minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
+                                     options={"xatol": 1e-6})
+        assert our_points == their_points
+        assert (x, fx) == (res.x, res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +418,7 @@ class TestAgreementWithStrideLayout:
             x[::2] = np.round(x[::2])  # hit the wrap boundaries too
             assert np.array_equal(as_array(new.unpack(x)), as_array(old.unpack(x)))
             assert np.array_equal(new.wrap(x), old.wrap(x))
-            assert list(zip(new.box.lb, new.box.ub)) == old.bounds_list()
+            assert list(zip(*new.box)) == old.bounds_list()
             assert np.array_equal(new.hop_scales(), old.hop_scales())
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["free-bias", "frozen-bias"])
