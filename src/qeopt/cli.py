@@ -98,19 +98,37 @@ def _emit(inputs: list[str], out_path: Path) -> None:
 def _load_instance(path: str, d: int, allow_padding: bool):
     inst = runfiles.read_instance(path)
     scheme = make_scheme(inst.n_vars, d, allow_padding=allow_padding)
-    if scheme.n_vars != inst.n_vars:
-        inst = pad_instance(inst, scheme.n_vars)
-    return inst, scheme
+    return pad_instance(inst, scheme.n_vars), scheme
 
 
 def _memory_limit() -> int:
-    """Physical memory, or the cgroup memory limit of this process when lower."""
+    """Physical memory, or the lowest cgroup memory limit when lower.
+
+    A limit on any cgroup from this process's own up to the mount root
+    applies, so every readable limit file on that path counts: the v2
+    ``memory.max`` along the ``0::`` line of ``/proc/self/cgroup`` and the v1
+    ``memory.limit_in_bytes`` along its ``memory`` line. Without that file,
+    only the two mount roots are read.
+    """
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
-        try:
-            limit = min(limit, int(Path(path).read_text()))
-        except (OSError, ValueError):  # no such cgroup file, or "max"
-            pass
+    hierarchies = {"": ("/sys/fs/cgroup", "memory.max"),
+                   "memory": ("/sys/fs/cgroup/memory", "memory.limit_in_bytes")}
+    own = dict.fromkeys(hierarchies, "/")
+    try:
+        for line in Path("/proc/self/cgroup").read_text().splitlines():
+            _, controllers, path = line.split(":", 2)
+            if controllers in own:
+                own[controllers] = path
+    except (OSError, ValueError):  # no such file, or a line not in its format
+        pass
+    for controllers, path in own.items():
+        mount, name = hierarchies[controllers]
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            try:
+                limit = min(limit, int(Path(mount, *parts[:depth], name).read_text()))
+            except (OSError, ValueError):  # no such cgroup file, or "max"
+                pass
     return limit
 
 

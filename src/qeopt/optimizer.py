@@ -7,11 +7,9 @@ in [-pi, pi); Nelder-Mead stops at tolerance ``LOCAL_TOL``.
 Optimal gamma coefficients shrink like d/N^(3/2), which both sets the hop
 scale for gamma and gives the rescaling rule for reusing parameters across
 problem sizes.
-The two local searches, ``_nelder_mead`` and ``_bounded_brent``, repeat
-the float steps of SciPy 1.17's bounded Nelder-Mead and bounded Brent
-(``minimize_scalar(method="bounded")``) for the options used here; the
-lock-step tests in ``tests/test_optimizer.py`` compare every evaluated point
-with SciPy's.
+The one local search, ``_nelder_mead``, repeats the float steps of SciPy
+1.17's bounded Nelder-Mead for the options used here; the lock-step test in
+``tests/test_optimizer.py`` compares every evaluated point with SciPy's.
 """
 
 from __future__ import annotations
@@ -307,9 +305,11 @@ def optimize_gamma_scale(
     """Best common multiplier theta for the donor gamma values.
 
     Beta and gamma' stay at the donor values; every layer's gamma is scaled
-    by the same theta. The scan covers positive rescalings over three
-    decades (the size-transfer law is a positive rescaling). The coarse
-    winner is refined with a bounded scalar search.
+    by the same theta. A geometric scan covers positive rescalings over
+    three decades (the size-transfer law is a positive rescaling). A
+    one-dimensional Nelder-Mead, with the search's own budget and tolerance,
+    refines the scan winner between its two scan neighbours. The result is
+    the lowest-cost theta evaluated; the first one found wins a tie.
     """
     scan = np.geomspace(0.02, 50.0, 81)
     start = prepare_prefix(instance, scheme)
@@ -320,87 +320,17 @@ def optimize_gamma_scale(
 
     values = np.array([cost_at(t) for t in scan])
     k = int(np.argmin(values))
-    lo = scan[max(0, k - 1)]
-    hi = scan[min(len(scan) - 1, k + 1)]
-    x, fx = _bounded_brent(cost_at, lo, hi)
-    return float(x) if fx <= values[k] else float(scan[k])
+    best = [values[k], float(scan[k])]
 
+    def refine(x: np.ndarray) -> float:
+        cost = cost_at(float(x[0]))
+        if cost < best[0]:
+            best[:] = cost, float(x[0])
+        return cost
 
-def _bounded_brent(func, lo: float, hi: float) -> tuple[float, float]:
-    """Brent's bounded scalar minimization of ``func`` on [lo, hi]: the best
-    point and its value.
-
-    The golden-section and parabolic steps and the stop at x tolerance 1e-6
-    or 500 evaluations are those of SciPy's
-    ``minimize_scalar(method="bounded", options={"xatol": 1e-6})``, float
-    operation for float operation.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    xatol = 1e-6
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = -tol1 if xm < xf else tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0 else xf + step
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
+    bracket = scan[[max(0, k - 1)]], scan[[min(len(scan) - 1, k + 1)]]
+    _nelder_mead(refine, scan[[k]], *bracket, OptimizerConfig().max_local_evals)
+    return best[1]
 
 
 @dataclass(frozen=True)

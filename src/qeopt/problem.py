@@ -64,12 +64,6 @@ class SKInstance:
             self._tables[key] = build(self)
         return self._tables[key]
 
-    def weight_pairs(self):
-        """Yield (i, j, w_ij) for the stored i < j entries."""
-        iu, ju = np.nonzero(self.weights)
-        for i, j in zip(iu.tolist(), ju.tolist()):
-            yield i, j, float(self.weights[i, j])
-
 
 @dataclass(frozen=True)
 class OptimumRecord:

@@ -30,9 +30,9 @@ def write_instance(instance: SKInstance, path: str | Path) -> None:
         f"weight_kind {instance.weight_kind}",
         f"seed {instance.seed}",
     ]
-    pairs = list(instance.weight_pairs())
-    lines.append(f"n_weights {len(pairs)}")
-    for i, j, w in pairs:
+    iu, ju = np.nonzero(instance.weights)
+    lines.append(f"n_weights {len(iu)}")
+    for i, j, w in zip(iu.tolist(), ju.tolist(), instance.weights[iu, ju].tolist()):
         lines.append(f"{i} {j} {w:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -80,7 +80,7 @@ class TestGenerate:
         files = sorted(out.glob("sk_n64_pm1_*.txt"))
         assert len(files) == 5
         inst = read_instance(files[0])
-        assert sum(1 for _ in inst.weight_pairs()) == 64 * 63 // 2
+        assert np.count_nonzero(inst.weights) == 64 * 63 // 2
 
     def test_regeneration_is_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -910,16 +910,35 @@ def test_input_too_large_to_hold_exits_3(runner, fixture_file, tmp_path, case):
     assert not [path for path in out.rglob("*") if path.is_file()]
 
 
-@pytest.mark.parametrize("cgroup, want", [(None, 2**33), ("max\n", 2**33), ("2147483648\n", 2**31),
-                                          ("99999999999999\n", 2**33)])
+# a hybrid host: the v1 memory controller and the v2 hierarchy each place
+# the process two levels below their mount root
+PROC_SELF_CGROUP = "5:pids:/\n4:memory:/jobs/job7\n1:cpu:/\n0::/user.slice/job7.scope\n"
+
+
+# ``cgroup`` is the text of every cgroup file, or a dict of the only readable ones
+@pytest.mark.parametrize("cgroup, want", [
+    (None, 2**33), ("max\n", 2**33), ("2147483648\n", 2**31), ("99999999999999\n", 2**33),
+    pytest.param({"/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n",
+                  "/sys/fs/cgroup/memory/jobs/memory.limit_in_bytes": "9223372036854771712\n",
+                  "/sys/fs/cgroup/memory/jobs/job7/memory.limit_in_bytes": "2147483648\n"},
+                 2**31, id="v1-own-cgroup"),
+    pytest.param({"/sys/fs/cgroup/memory.max": "max\n",
+                  "/sys/fs/cgroup/user.slice/memory.max": "1073741824\n",
+                  "/sys/fs/cgroup/user.slice/job7.scope/memory.max": "max\n"},
+                 2**30, id="v2-parent-cgroup"),
+])
 def test_memory_limit_is_the_lower_of_ram_and_cgroup(monkeypatch, cgroup, want):
     monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)
     read_text = Path.read_text
 
     def fake_read_text(path, *args, **kwargs):
+        if str(path) == "/proc/self/cgroup":
+            return PROC_SELF_CGROUP
         if not str(path).startswith("/sys/fs/cgroup/"):
             return read_text(path, *args, **kwargs)
-        if cgroup is None:
+        if isinstance(cgroup, dict) and str(path) in cgroup:
+            return cgroup[str(path)]
+        if cgroup is None or isinstance(cgroup, dict):
             raise FileNotFoundError(path)
         return cgroup
 

@@ -5,8 +5,12 @@ appear (as a whole word) somewhere in ``src/qeopt`` other than its own
 ``def``/``class`` line, or in a Python file under ``scripts/`` or
 ``bench/``. A name only the tests read is surface without a program use.
 Click commands are registered by their decorator and are not checked.
+A private module-level function must be read by the code of ``src/qeopt``
+(a call or a reference; a docstring or comment does not count): a helper
+whose last caller has gone is dead code.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -54,3 +58,24 @@ def test_every_public_name_has_a_program_reader():
 
 def test_allowed_names_still_exist():
     assert ALLOWED <= set(public_names())
+
+
+def code_identifiers():
+    """Every name and attribute that the code of ``src/qeopt`` reads."""
+    for path in sorted((ROOT / "src" / "qeopt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    private = set()
+    for info in pkgutil.iter_modules(qeopt.__path__):
+        module = importlib.import_module(f"qeopt.{info.name}")
+        private |= {name for name, obj in vars(module).items()
+                    if name.startswith("_") and not name.startswith("__")
+                    and inspect.isfunction(obj) and obj.__module__ == module.__name__}
+    orphans = sorted(private - set(code_identifiers()))
+    assert not orphans, f"private functions no code in src/qeopt reads: {orphans}"
