@@ -10,18 +10,17 @@ separators frozen, and a p-layer run costs p + 1 circuit executions. The
 simulated state never collapses, so both modes carry one statevector
 forward through the p layers and read the statistics between them.
 
-A prefix (``AnsatzPrefix``) is the exact state after k >= 0 frozen layers,
-its per-layer statistics and the phase separator of layer k + 1. At |+>
-(k = 0) all three depend only on the instance and the scheme, so exact-mode
-callers that evaluate many parameter points on one problem -- the optimizer,
-landscapes, gamma scans, the appended-layer grid with k = p - 1 -- build one
-prefix with ``prepare_prefix`` and pass it to ``run_ansatz`` as ``start``.
-The run then continues from a copy of the prefix state, and every value it
-reuses equals, bit for bit, the value a run from |+> recomputes. Shot mode
-samples layer 0 per seed and takes no prefix.
+An exact trace is also a start. Exact-mode callers that evaluate many
+parameter points on one problem -- the optimizer, landscapes, gamma scans --
+run the ansatz once with no layers, which gives |+> and its statistics, and
+pass that trace as ``start``. A run from a start continues from a copy of
+its final state and reuses its statistics and its ``separator``, the next
+layer's phase separator, built on first read. Every reused value equals,
+bit for bit, the value a run from |+> recomputes. Shot mode samples layer 0
+per seed and takes no start.
 
-A grid over one layer appended to a prefix -- the exact single-layer
-landscape (k = 0) and the optimizer's appended-layer grid -- goes through
+A grid over one layer appended to a start -- the exact single-layer
+landscape and the optimizer's appended-layer grid -- goes through
 ``appended_layer_grid``, which applies the phase and the bias once per
 (gamma, gamma') pair and mixes a copy of that state for every beta.
 """
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,31 +60,24 @@ class LayerParams:
 
 
 @dataclass(frozen=True)
-class AnsatzPrefix:
-    """Exact state after the frozen ``layers`` (none: |+>), the statistics of
-    layers 0..k and the phase separator of the next layer. Its arrays are
-    read-only; ``run_ansatz`` works on a copy of the state."""
-
-    instance: SKInstance
-    scheme: EncodingScheme
-    layers: tuple[LayerParams, ...]
-    state: Statevector
-    layer_stats: tuple[GroupStats, ...]
-    separator: DiagonalOperator
-
-
-@dataclass
 class AnsatzTrace:
-    """Record of a single ansatz execution: the statistics of layers 0..p and
-    the cost assembled from the last of them. Exact mode keeps the final
-    state, shot mode the last layer's shot counts."""
+    """Record of one ansatz execution: the layers run, the statistics of
+    layers 0..p and the cost assembled from the last of them. Exact mode keeps
+    the final state, shot mode the last layer's shot counts. Every array is
+    read-only."""
 
     instance: SKInstance
     scheme: EncodingScheme
-    layer_stats: list[GroupStats]
+    params: tuple[LayerParams, ...]
+    layer_stats: tuple[GroupStats, ...]
     final_cost: float
     final_state: Statevector | None = None
     final_counts: np.ndarray | None = None  # (2**q,) shot counts of the last layer
+
+    @cached_property
+    def separator(self) -> DiagonalOperator:
+        """The phase separator of the next layer, built on first read."""
+        return build_cost_hamiltonian(self.instance, self.scheme, self.layer_stats[-1])
 
 
 def apply_layer(
@@ -120,37 +113,36 @@ def run_ansatz(
     mode: str = "exact",
     n_shots: int | None = None,
     seed: int = 0,
-    start: AnsatzPrefix | None = None,
+    start: AnsatzTrace | None = None,
 ) -> AnsatzTrace:
-    """Execute the full ansatz, recording per-layer statistics and the final cost.
+    """Execute the full ansatz, recording per-layer statistics and the final
+    cost; with no layers, the trace of |+>.
 
-    ``start`` (exact mode only) is a prefix of the same instance and scheme
-    whose frozen layers are the first layers of ``params``; the run resumes
+    ``start`` (exact mode only) is an exact trace of the same instance and
+    scheme whose layers are the first layers of ``params``; the run resumes
     after them and returns the trace a run from |+> returns.
     """
     if instance.n_vars != scheme.n_vars:
         raise ValueError(
             f"instance has {instance.n_vars} variables, scheme encodes {scheme.n_vars}"
         )
-    if not params:
-        raise ValueError("need at least one layer")
     if mode not in ("exact", "shots"):
         raise ValueError(f"mode must be 'exact' or 'shots', got {mode!r}")
     shots = mode == "shots"
     if shots and (n_shots is None or n_shots < 1):
         raise ValueError("shot mode needs n_shots >= 1")
 
+    params = tuple(params)
     if start is None:
-        state, layer_stats, separator = init_plus(scheme.n_qubits), [], None
+        state, layer_stats = init_plus(scheme.n_qubits), []
     else:
         _check_start(start, instance, scheme, params, shots)
-        state, layer_stats = start.state.copy(), list(start.layer_stats)
-        separator = start.separator
+        state, layer_stats = start.final_state.copy(), list(start.layer_stats)
     counts = None
     first = len(layer_stats)
     for k in range(first, len(params) + 1):
         if k:
-            hamiltonian = (separator if k == first
+            hamiltonian = (start.separator if k == first
                            else build_cost_hamiltonian(instance, scheme, layer_stats[-1]))
             apply_layer(state, hamiltonian, params[k - 1])
         if shots:
@@ -158,74 +150,62 @@ def run_ansatz(
             stats = shot_group_stats(scheme, counts)
         else:
             stats = exact_group_stats(scheme, state)
+        for array in (stats.p_label, stats.zbar, stats.corr_matrix, stats.observed):
+            array.setflags(write=False)
         layer_stats.append(stats)
+    for array in (state.amps, counts):
+        if array is not None:
+            array.setflags(write=False)
     return AnsatzTrace(
         instance=instance,
         scheme=scheme,
-        layer_stats=layer_stats,
+        params=params,
+        layer_stats=tuple(layer_stats),
         final_cost=estimate_cost(instance, scheme, layer_stats[-1]).total,
         final_state=None if shots else state,
         final_counts=counts,
     )
 
 
-def _check_start(start: AnsatzPrefix, instance: SKInstance, scheme: EncodingScheme,
-                 params: list[LayerParams], shots: bool) -> None:
+def _check_start(start: AnsatzTrace, instance: SKInstance, scheme: EncodingScheme,
+                 params: tuple[LayerParams, ...], shots: bool) -> None:
     if shots:
-        raise ValueError("a prefix is an exact-mode start; shot mode samples layer 0 per seed")
+        raise ValueError("a start is an exact-mode trace; shot mode samples layer 0 per seed")
+    if start.final_state is None:
+        raise ValueError("a shot trace has no state to continue from")
     if start.instance is not instance or start.scheme != scheme:
-        raise ValueError("the prefix belongs to a different instance or scheme")
-    k = len(start.layers)
-    if tuple(params[:k]) != start.layers:
-        raise ValueError(f"the first {k} layer(s) of params must be the prefix's frozen layers")
-
-
-def prepare_prefix(
-    instance: SKInstance,
-    scheme: EncodingScheme,
-    layers: tuple[LayerParams, ...] | list[LayerParams] = (),
-) -> AnsatzPrefix:
-    """The exact prefix after the frozen ``layers``: |+> and its statistics
-    when there are none, else the final state of one ``run_ansatz`` call."""
-    layers = tuple(layers)
-    if layers:
-        trace = run_ansatz(instance, scheme, list(layers))
-        state, layer_stats = trace.final_state, tuple(trace.layer_stats)
-    else:
-        state = init_plus(scheme.n_qubits)
-        layer_stats = (exact_group_stats(scheme, state),)
-    separator = build_cost_hamiltonian(instance, scheme, layer_stats[-1])
-    state.amps.setflags(write=False)
-    for stats in layer_stats:
-        for array in (stats.p_label, stats.zbar, stats.corr_matrix, stats.observed):
-            array.setflags(write=False)
-    return AnsatzPrefix(instance, scheme, layers, state, layer_stats, separator)
+        raise ValueError("the start belongs to a different instance or scheme")
+    k = len(start.params)
+    if params[:k] != start.params:
+        raise ValueError(f"the first {k} layer(s) of params must be the start's frozen layers")
 
 
 def appended_layer_grid(
-    start: AnsatzPrefix,
+    start: AnsatzTrace,
     betas: np.ndarray,
     gammas: np.ndarray,
     biases: np.ndarray,
 ) -> np.ndarray:
-    """Exact cost of the prefix's frozen layers plus one more layer, over the
+    """Exact cost of the start's layers plus one more layer, over the
     (beta, gamma, gamma') grid.
 
-    Entry [i, j, k] equals ``run_ansatz(instance, scheme, list(start.layers)
+    Entry [i, j, k] equals ``run_ansatz(instance, scheme, list(start.params)
     + [LayerParams(betas[i], gammas[j], biases[k])], start=start).final_cost``
     bit for bit: each point runs the same kernels on the same bits. The phase
-    and the bias of a (gamma, gamma') pair run once, on one copy of the prefix
-    state; each beta mixes its own copy of that phased state.
+    and the bias of a (gamma, gamma') pair run once, on one copy of the start's
+    final state; each beta mixes its own copy of that phased state.
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (betas, gammas, biases)]
     if not all(np.all(np.isfinite(a)) for a in axes):
         raise ValueError("layer parameters must be finite")
+    if start.final_state is None:
+        raise ValueError("a shot trace has no state to continue from")
     betas, gammas, biases = axes
     instance, scheme = start.instance, start.scheme
     costs = np.empty((betas.size, gammas.size, biases.size))
     for j, gamma in enumerate(gammas):
         for k, bias in enumerate(biases):
-            phased = _phase_and_bias(start.state.copy(), start.separator, gamma, bias)
+            phased = _phase_and_bias(start.final_state.copy(), start.separator, gamma, bias)
             for i, beta in enumerate(betas):
                 stats = exact_group_stats(scheme, phased.copy().apply_mixer(beta))
                 costs[i, j, k] = estimate_cost(instance, scheme, stats).total
@@ -253,7 +233,7 @@ def landscape(
     if betas.size == 0 or gammas.size == 0:
         raise ValueError("parameter grids must be nonempty")
     if mode == "exact":
-        grid = appended_layer_grid(prepare_prefix(instance, scheme), betas, gammas, [gamma_bias])
+        grid = appended_layer_grid(run_ansatz(instance, scheme, []), betas, gammas, [gamma_bias])
         return grid.reshape(betas.size, gammas.size)
     grid = np.empty((betas.size, gammas.size))
     for bi, beta in enumerate(betas):

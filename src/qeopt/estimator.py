@@ -87,11 +87,11 @@ def pair_product_table(d: int) -> np.ndarray:
 
 def exact_evaluation_bytes(scheme: EncodingScheme) -> int:
     """Estimated peak bytes of one exact evaluation: 96 per amplitude (three
-    complex states -- the prefix, its phased copy and a mixed copy, as the
-    appended-layer grid holds them -- two dense diagonals and the phase's and
-    separator's temporaries; the grid was measured at about 89) plus
-    ``basis_spin_table(d)``, ``pair_product_table(d)`` and the instance's
-    two N x N float64 tables, ``weights`` and ``sym_weights``."""
+    complex states -- a start trace's final state, its phased copy and a
+    mixed copy, as the appended-layer grid holds them -- two dense diagonals
+    and the phase's and separator's temporaries; the grid was measured at
+    about 89) plus ``basis_spin_table(d)``, ``pair_product_table(d)`` and the
+    instance's two N x N float64 tables, ``weights`` and ``sym_weights``."""
     d, n = scheme.group_size, scheme.n_vars
     return 96 * scheme.dim + 8 * (1 << d) * (d + d * (d - 1) // 2) + 16 * n * n
 

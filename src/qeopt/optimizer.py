@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qeopt.ansatz import LayerParams, appended_layer_grid, prepare_prefix, run_ansatz
+from qeopt.ansatz import LayerParams, appended_layer_grid, run_ansatz
 from qeopt.encoding import EncodingScheme
 from qeopt.problem import SKInstance
 from qeopt.rng import stream
@@ -63,14 +63,14 @@ class _CostFunction:
 
     The layers form a (p, 3) array of (beta, gamma, gamma') rows; the search
     sees its first ``width`` columns row by row, so a frozen gamma' (width 2)
-    stays at the initial guess, or 0. Every evaluation starts from one
-    zero-layer prefix.
+    stays at the initial guess, or 0. Every evaluation continues one
+    zero-layer trace, ``start``.
     """
 
     def __init__(self, instance, scheme, p, config):
         self.instance = instance
         self.scheme = scheme
-        self.start = prepare_prefix(instance, scheme)
+        self.start = run_ansatz(instance, scheme, [])
         self.p = p
         self.config = config
         self.eval_count = 0
@@ -260,7 +260,7 @@ def _best_appended_layer(
     gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, 0.5, 1, 2])])
     biases = [0.0] if config.freeze_gamma_bias else [-0.4, 0.0, 0.4]
 
-    costs = appended_layer_grid(prepare_prefix(instance, scheme, prev), betas, gammas, biases)
+    costs = appended_layer_grid(run_ansatz(instance, scheme, list(prev)), betas, gammas, biases)
     i, j, k = np.unravel_index(np.argmin(costs), costs.shape)
     return LayerParams(betas[i], gammas[j], biases[k])
 
@@ -308,11 +308,12 @@ def optimize_gamma_scale(
     by the same theta. A geometric scan covers positive rescalings over
     three decades (the size-transfer law is a positive rescaling). A
     one-dimensional Nelder-Mead, with the search's own budget and tolerance,
-    refines the scan winner between its two scan neighbours. The result is
-    the lowest-cost theta evaluated; the first one found wins a tie.
+    refines the scan winner between its two scan neighbours; a theta that
+    the scan or the refinement has already run is not run again. The result
+    is the lowest-cost theta evaluated; the first one found wins a tie.
     """
     scan = np.geomspace(0.02, 50.0, 81)
-    start = prepare_prefix(instance, scheme)
+    start = run_ansatz(instance, scheme, [])
 
     def cost_at(theta: float) -> float:
         scaled = [LayerParams(lp.beta, theta * lp.gamma, lp.gamma_bias) for lp in donor_params]
@@ -321,11 +322,15 @@ def optimize_gamma_scale(
     values = np.array([cost_at(t) for t in scan])
     k = int(np.argmin(values))
     best = [values[k], float(scan[k])]
+    known = dict(zip(scan.tolist(), values.tolist()))
 
     def refine(x: np.ndarray) -> float:
-        cost = cost_at(float(x[0]))
+        theta = float(x[0])
+        if theta not in known:
+            known[theta] = cost_at(theta)
+        cost = known[theta]
         if cost < best[0]:
-            best[:] = cost, float(x[0])
+            best[:] = cost, theta
         return cost
 
     bracket = scan[[max(0, k - 1)]], scan[[min(len(scan) - 1, k + 1)]]

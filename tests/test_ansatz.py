@@ -12,7 +12,6 @@ from qeopt.ansatz import (
     apply_layer,
     extract_solution,
     landscape,
-    prepare_prefix,
     run_ansatz,
 )
 from qeopt.encoding import make_scheme
@@ -306,7 +305,7 @@ def assert_same_trace(got, want):
 
 
 class TestPrefixAgreement:
-    """A run resumed from a prefix returns the trace of the run from |+>, bit for bit."""
+    """A run resumed from an exact trace returns the trace of the run from |+>, bit for bit."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(4, 2), (16, 4), (64, 4)], ids=lambda s: "%dx%d" % s)
@@ -319,21 +318,21 @@ class TestPrefixAgreement:
             params = random_layers(rng, p)
             want = run_ansatz(instance, scheme, params)
             for k in range(p + 1):
-                start = prepare_prefix(instance, scheme, params[:k])
-                assert start.layers == tuple(params[:k])
+                start = run_ansatz(instance, scheme, params[:k])
+                assert start.params == tuple(params[:k])
                 assert len(start.layer_stats) == k + 1
                 for got_stats, want_stats in zip(start.layer_stats, want.layer_stats):
                     assert_same_stats(got_stats, want_stats)
                 separator = build_cost_hamiltonian(instance, scheme, want.layer_stats[k])
                 assert np.array_equal(start.separator.entries, separator.entries)
-                before = start.state.amps.copy()
+                before = start.final_state.amps.copy()
                 assert_same_trace(run_ansatz(instance, scheme, params, start=start), want)
-                assert np.array_equal(start.state.amps, before)
+                assert np.array_equal(start.final_state.amps, before)
 
     def test_one_prefix_serves_many_points(self):
         scheme = make_scheme(16, 4)
         instance = generate_sk(16, "pm1", seed=8)
-        start = prepare_prefix(instance, scheme)
+        start = run_ansatz(instance, scheme, [])
         rng = np.random.default_rng(8)
         for p in (1, 2, 3, 1, 2):
             params = random_layers(rng, p)
@@ -341,12 +340,36 @@ class TestPrefixAgreement:
                               run_ansatz(instance, scheme, params))
 
     def test_prefix_is_read_only(self, n4_instance, n4_scheme):
-        start = prepare_prefix(n4_instance, n4_scheme, [LayerParams(0.3, 0.2, 0.1)])
-        assert not start.state.amps.flags.writeable
+        start = run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.2, 0.1)])
+        assert not start.final_state.amps.flags.writeable
+        assert start.separator is start.separator  # built once, on first read
         assert not start.separator.entries.flags.writeable
         for stats in start.layer_stats:
-            assert not stats.zbar.flags.writeable
-            assert not stats.corr_matrix.flags.writeable
+            for array in (stats.p_label, stats.zbar, stats.corr_matrix, stats.observed):
+                assert not array.flags.writeable
+
+    def test_shot_trace_is_read_only(self, n4_instance, n4_scheme):
+        trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.2, 0.1)] * 2,
+                           mode="shots", n_shots=100, seed=2)
+        assert not trace.final_counts.flags.writeable
+        for stats in trace.layer_stats:
+            for array in (stats.p_label, stats.zbar, stats.corr_matrix, stats.observed):
+                assert not array.flags.writeable
+
+    def test_no_layers_gives_the_plus_trace(self, n4_instance, n4_scheme):
+        plus = init_plus(n4_scheme.n_qubits)
+        trace = run_ansatz(n4_instance, n4_scheme, [])
+        assert trace.params == () and len(trace.layer_stats) == 1
+        assert np.array_equal(trace.final_state.amps, plus.amps)
+        assert_same_stats(trace.layer_stats[0], exact_group_stats(n4_scheme, plus))
+        assert trace.final_cost == estimate_cost(n4_instance, n4_scheme,
+                                                 trace.layer_stats[0]).total
+
+    def test_no_layers_in_shot_mode_samples_layer_0(self, n4_instance, n4_scheme):
+        trace = run_ansatz(n4_instance, n4_scheme, [], mode="shots", n_shots=300, seed=6)
+        counts = init_plus(n4_scheme.n_qubits).sample(300, seed=6, key=("ansatz-layer", 0))
+        assert np.array_equal(trace.final_counts, counts)
+        assert_same_stats(trace.layer_stats[0], shot_group_stats(n4_scheme, counts))
 
     @pytest.mark.parametrize("shape", [(4, 2), (16, 4)], ids=lambda s: "%dx%d" % s)
     def test_landscape_matches_independent_runs(self, shape):
@@ -361,26 +384,33 @@ class TestPrefixAgreement:
                 assert grid[bi, gi] == trace.final_cost
 
     def test_other_instance_rejected(self, n4_scheme):
-        start = prepare_prefix(generate_sk(4, "pm1", seed=1), n4_scheme)
+        start = run_ansatz(generate_sk(4, "pm1", seed=1), n4_scheme, [])
         with pytest.raises(ValueError, match="different instance"):
             run_ansatz(generate_sk(4, "pm1", seed=2), n4_scheme, [LayerParams(0.3, 0.2)],
                        start=start)
 
     def test_other_scheme_rejected(self):
         instance = generate_sk(8, "pm1", seed=1)
-        start = prepare_prefix(instance, make_scheme(8, 2))
+        start = run_ansatz(instance, make_scheme(8, 2), [])
         with pytest.raises(ValueError, match="different instance or scheme"):
             run_ansatz(instance, make_scheme(8, 4), [LayerParams(0.3, 0.2)], start=start)
 
     def test_shot_mode_rejected(self, n4_instance, n4_scheme):
-        start = prepare_prefix(n4_instance, n4_scheme)
+        start = run_ansatz(n4_instance, n4_scheme, [])
         with pytest.raises(ValueError, match="shot mode"):
             run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.2)], mode="shots",
                        n_shots=100, start=start)
 
+    def test_shot_trace_rejected_as_start(self, n4_instance, n4_scheme):
+        start = run_ansatz(n4_instance, n4_scheme, [], mode="shots", n_shots=100)
+        with pytest.raises(ValueError, match="shot trace"):
+            run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.2)], start=start)
+        with pytest.raises(ValueError, match="shot trace"):
+            appended_layer_grid(start, [0.3], [0.2], [0.0])
+
     def test_params_must_extend_the_frozen_layers(self, n4_instance, n4_scheme):
         frozen = [LayerParams(0.3, 0.2, 0.1), LayerParams(0.5, -0.1, 0.0)]
-        start = prepare_prefix(n4_instance, n4_scheme, frozen)
+        start = run_ansatz(n4_instance, n4_scheme, frozen)
         for params in ([frozen[0]], [frozen[1], frozen[0], frozen[1]],
                        [frozen[0], LayerParams(0.5, -0.1, 0.01), frozen[1]]):
             with pytest.raises(ValueError, match="frozen layers"):
@@ -396,7 +426,7 @@ class TestAppendedLayerGrid:
         for i, beta in enumerate(betas):
             for j, gamma in enumerate(gammas):
                 for k, bias in enumerate(biases):
-                    params = list(start.layers) + [LayerParams(beta, gamma, bias)]
+                    params = list(start.params) + [LayerParams(beta, gamma, bias)]
                     grid[i, j, k] = run_ansatz(start.instance, start.scheme, params,
                                                start=start).final_cost
         return grid
@@ -406,7 +436,7 @@ class TestAppendedLayerGrid:
         scheme = make_scheme(16, 4)
         instance = generate_sk(16, "gaussian", seed=20 + k)
         rng = np.random.default_rng(k)
-        start = prepare_prefix(instance, scheme, random_layers(rng, k) if k else ())
+        start = run_ansatz(instance, scheme, random_layers(rng, k))
         betas, gammas = np.linspace(0, np.pi, 4), np.linspace(-1, 1, 5)
         biases = [-0.4, 0.0, 0.4]
         grid = appended_layer_grid(start, betas, gammas, biases)
@@ -416,16 +446,16 @@ class TestAppendedLayerGrid:
     def test_matches_per_point_runs_at_q18(self):
         scheme = make_scheme(64, 16)
         instance = generate_sk(64, "pm1", seed=4)
-        start = prepare_prefix(instance, scheme)
+        start = run_ansatz(instance, scheme, [])
         betas, gammas, biases = [0.3, 1.1], [-0.05, 0.02], [0.2]
         grid = appended_layer_grid(start, betas, gammas, biases)
         assert np.array_equal(grid, self.per_point(start, betas, gammas, biases))
 
     def test_prefix_state_untouched(self, n4_instance, n4_scheme):
-        start = prepare_prefix(n4_instance, n4_scheme, [LayerParams(0.3, 0.2, 0.1)])
-        before = start.state.amps.copy()
+        start = run_ansatz(n4_instance, n4_scheme, [LayerParams(0.3, 0.2, 0.1)])
+        before = start.final_state.amps.copy()
         appended_layer_grid(start, [0.2, 0.4], [0.1], [0.0, 0.3])
-        assert np.array_equal(start.state.amps, before)
+        assert np.array_equal(start.final_state.amps, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", range(3))
@@ -433,7 +463,7 @@ class TestAppendedLayerGrid:
         axes = [[0.1, 0.2], [0.3], [0.0]]
         axes[axis] = axes[axis] + [bad]
         with pytest.raises(ValueError, match="finite"):
-            appended_layer_grid(prepare_prefix(n4_instance, n4_scheme), *axes)
+            appended_layer_grid(run_ansatz(n4_instance, n4_scheme, []), *axes)
 
     @pytest.mark.parametrize("mode", ["exact", "shots"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -458,7 +488,8 @@ class TestExtractSolution:
         trace = AnsatzTrace(
             instance=n4_instance,
             scheme=n4_scheme,
-            layer_stats=[stats],
+            params=(),
+            layer_stats=(stats,),
             final_cost=estimate_cost(n4_instance, n4_scheme, stats).total,
             final_state=state,
         )

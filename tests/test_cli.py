@@ -284,10 +284,11 @@ class TestLandscape:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == SHOT_LANDSCAPE_SHA256
 
     def test_one_prefix_per_run(self, runner, fixture_file, tmp_path, monkeypatch):
+        # one zero-layer start per run, so one separator build
         built = []
-        prepare = qeopt.ansatz.prepare_prefix
-        monkeypatch.setattr(qeopt.ansatz, "prepare_prefix",
-                            lambda *args: built.append(args) or prepare(*args))
+        build = qeopt.ansatz.build_cost_hamiltonian
+        monkeypatch.setattr(qeopt.ansatz, "build_cost_hamiltonian",
+                            lambda *args: built.append(args) or build(*args))
         result = runner.invoke(main, [
             "landscape", "--instance", str(fixture_file), "--d", "2", "--beta-steps", "5",
             "--gamma-steps", "3", "--jobs", "1", "--out", str(tmp_path / "land.csv"),
@@ -299,6 +300,37 @@ class TestLandscape:
 # sha256 of `landscape --d 2 --beta-steps 5 --gamma-steps 3 --mode shots --shots 200
 # --seed 4` on the 4-variable fixture
 SHOT_LANDSCAPE_SHA256 = "4f711ac61774f70504f1843c4a7a4838bd458619b12341ce07cd3079af8b64ec"
+
+# sha256 of `solve --d 4 --p 2 --hops 1 --local-evals 40 --seed 3` on the instance of
+# `generate --n 16 --seed 2`
+WARM_SOLVE_SHA256 = "23e3b18c733e5f04266f0944cea757f8aac8f2c9c47b520c9dd5929f3f04f266"
+# sha256 of the same with `--no-warm-start --freeze-gamma-bias`
+COLD_SOLVE_SHA256 = "ab3b9b25719abb7f5eae3cca391ff43ef9109a4bbb2b4f2ae71dd8776b4c4693"
+# sha256 of `landscape --d 4 --beta-steps 4 --gamma-steps 5 --gamma-bias 0.1` on that instance
+EXACT_LANDSCAPE_SHA256 = "04f57b82869ce4a7ab618d96791aba9af98224767fd42c2dbcec51140cf30c78"
+
+SEARCH_SOLVE = ["solve", "--d", "4", "--p", "2", "--hops", "1", "--local-evals", "40",
+                "--seed", "3"]
+
+
+class TestPinnedBytes:
+    """Both search paths and the exact grid write the bytes earlier versions wrote."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (SEARCH_SOLVE, WARM_SOLVE_SHA256),
+        (SEARCH_SOLVE + ["--no-warm-start", "--freeze-gamma-bias"], COLD_SOLVE_SHA256),
+        (["landscape", "--d", "4", "--beta-steps", "4", "--gamma-steps", "5",
+          "--gamma-bias", "0.1"], EXACT_LANDSCAPE_SHA256),
+    ], ids=["solve-warm", "solve-cold-frozen", "landscape-exact"])
+    def test_same_bytes(self, runner, tmp_path, argv, digest):
+        result = runner.invoke(main, ["generate", "--n", "16", "--seed", "2",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [argv[0], "--instance", str(tmp_path / "sk_n16_pm1_000.txt"),
+                                      *argv[1:], "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def blas_threads(_=None):

@@ -286,6 +286,23 @@ class TestGammaScaleAgreement:
         assert abs(theta - theta_ref) <= 1e-5
         assert cost(theta) <= cost(theta_ref) + 1e-9 * abs(cost(theta_ref))
 
+    def test_no_theta_runs_twice(self, monkeypatch):
+        # the refinement's first vertex is the scan winner, a vertex clipped onto
+        # a bracket end is a scan point, and Nelder-Mead can revisit a point
+        scheme = make_scheme(16, 4)
+        inst = generate_sk(16, "pm1", seed=400 + 31 * 16 + 7 * 4)
+        runs = []
+
+        def counted(instance, scheme, params, **kwargs):
+            runs.append(tuple(params))
+            return run_ansatz(instance, scheme, params, **kwargs)
+
+        monkeypatch.setattr(optimizer, "run_ansatz", counted)
+        optimize_gamma_scale(inst, scheme, CRITERION_11_DONOR)
+        scaled = [params for params in runs if params]
+        assert len(scaled) > 81
+        assert len(set(scaled)) == len(scaled)
+
 
 # ---------------------------------------------------------------------------
 # Reference copy of the stride-based parameter layout, grid loops and search

@@ -1,20 +1,19 @@
 """Every public name of the package has a reader outside the tests.
 
 A public module-level function or class defined in a ``qeopt`` module must
-appear (as a whole word) somewhere in ``src/qeopt`` other than its own
-``def``/``class`` line, or in a Python file under ``scripts/`` or
-``bench/``. A name only the tests read is surface without a program use.
+be read by the code of ``src/qeopt`` or of a Python file under ``scripts/``
+or ``bench/``. A name only the tests read is surface without a program use.
 Click commands are registered by their decorator and are not checked.
-A private module-level function must be read by the code of ``src/qeopt``
-(a call or a reference; a docstring or comment does not count): a helper
-whose last caller has gone is dead code.
+A private module-level function must be read by the code of ``src/qeopt``.
+Reading means a name or an attribute in the code: a call or a reference.
+A definition, an import, a docstring or a comment does not count, so a
+helper whose last caller has gone is dead code.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
-import re
 from pathlib import Path
 
 import click
@@ -38,36 +37,28 @@ def public_names():
                 yield name
 
 
-def reader_lines():
-    files = sorted((ROOT / "src" / "qeopt").glob("*.py"))
-    files += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+def code_identifiers(files):
+    """Every name and attribute that the code of ``files`` reads."""
     for path in files:
-        yield from path.read_text().splitlines()
-
-
-def test_every_public_name_has_a_program_reader():
-    lines = list(reader_lines())
-    orphans = []
-    for name in sorted(set(public_names()) - ALLOWED):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        definition = re.compile(rf"^(def|class) {re.escape(name)}\b")
-        if not any(word.search(line) and not definition.match(line) for line in lines):
-            orphans.append(name)
-    assert not orphans, f"public names read only by tests: {orphans}"
-
-
-def test_allowed_names_still_exist():
-    assert ALLOWED <= set(public_names())
-
-
-def code_identifiers():
-    """Every name and attribute that the code of ``src/qeopt`` reads."""
-    for path in sorted((ROOT / "src" / "qeopt").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 yield node.id
             elif isinstance(node, ast.Attribute):
                 yield node.attr
+
+
+PACKAGE_FILES = sorted((ROOT / "src" / "qeopt").glob("*.py"))
+
+
+def test_every_public_name_has_a_program_reader():
+    files = PACKAGE_FILES + sorted((ROOT / "scripts").rglob("*.py"))
+    files += sorted((ROOT / "bench").rglob("*.py"))
+    orphans = sorted(set(public_names()) - ALLOWED - set(code_identifiers(files)))
+    assert not orphans, f"public names read only by tests: {orphans}"
+
+
+def test_allowed_names_still_exist():
+    assert ALLOWED <= set(public_names())
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -77,5 +68,5 @@ def test_every_private_function_has_a_caller_in_the_package():
         private |= {name for name, obj in vars(module).items()
                     if name.startswith("_") and not name.startswith("__")
                     and inspect.isfunction(obj) and obj.__module__ == module.__name__}
-    orphans = sorted(private - set(code_identifiers()))
+    orphans = sorted(private - set(code_identifiers(PACKAGE_FILES)))
     assert not orphans, f"private functions no code in src/qeopt reads: {orphans}"
