@@ -9,8 +9,14 @@ of single-spin means. The same statistics define the diagonal Hamiltonian
 whose expectation reproduces the cost; its coefficients are normalized by
 the current label probabilities, so the operator depends on the state it
 was measured from. Statistics and the diagonal read the encoding's float64
-spin table ``basis_spin_table`` and its pair products
-``pair_product_table``, both cached per group size.
+spin table ``basis_spin_table`` and the pair products s_a * s_b of its
+rows, both cached per group size. The pair products are kept in split
+form (``pair_product_table``): a data pattern is a high part of
+max(0, d - SPLIT_BITS) bits and a low part of min(d, SPLIT_BITS) bits, and
+its row of products is a +-1 sign row of the high part times a template
+row of the low part, so no 2**d x C(d,2) table is ever built. Up to d =
+SPLIT_BITS the template is the whole table and the signs one row of ones,
+so the sign multiply and the sum over the one high pattern are exact.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from qeopt.simulator import DiagonalOperator, Statevector
 log = logging.getLogger(__name__)
 
 OBSERVED_EPS = 1e-12
+# data bits the pair-product template spans; higher bits only flip signs
+SPLIT_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -69,31 +77,46 @@ def _pair_columns(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def pair_product_table(d: int) -> np.ndarray:
-    """(2**d, C(d,2)) read-only products s_a * s_b of the basis spin table,
-    columns in ``_pair_columns`` order, cached per d."""
+def pair_product_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only split form ``(template, signs)`` of the (2**d, C(d,2))
+    products s_a * s_b of the basis spin table, columns in ``_pair_columns``
+    order, cached per d.
+
+    With lo = min(d, SPLIT_BITS) low data bits and h = d - lo high ones,
+    row hi * 2**lo + lo_bits of the products is exactly
+    ``signs[hi] * template[lo_bits]``. ``template`` (2**lo, C(d,2)) holds the
+    rows whose high bits are 0: a low pair's product, a mixed pair's low
+    spin, 1 for a high pair. ``signs`` (2**h, C(d,2)) holds the rows whose
+    low bits are 0, the high part's +-1. At h = 0 the template is the whole
+    table and ``signs`` one row of ones.
+    """
     spins = basis_spin_table(d)
     a, b = _pair_columns(d)
-    # blocks of 256 contiguous rows, each from two ~240 KB gathered
-    # temporaries at d = 16: strided column writes take about 3x as long,
-    # and a whole-table temporary would be 63 MB
-    table = np.empty((1 << d, a.size))
-    for start in range(0, 1 << d, 256):
-        rows = spins[start:start + 256]
-        np.multiply(rows[:, a], rows[:, b], out=table[start:start + 256])
-    table.setflags(write=False)
-    return table
+    step = 1 << min(d, SPLIT_BITS)
+    tables = []
+    for rows in (spins[:step], spins[::step]):
+        # written into C order: the gathered operands are column-major
+        table = np.multiply(rows[:, a], rows[:, b], out=np.empty((len(rows), a.size)))
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
 
 
 def exact_evaluation_bytes(scheme: EncodingScheme) -> int:
-    """Estimated peak bytes of one exact evaluation: 96 per amplitude (three
+    """Estimated peak bytes of one exact evaluation: 112 per amplitude (three
     complex states -- a start trace's final state, its phased copy and a
     mixed copy, as the appended-layer grid holds them -- two dense diagonals
-    and the phase's and separator's temporaries; the grid was measured at
-    about 89) plus ``basis_spin_table(d)``, ``pair_product_table(d)`` and the
-    instance's two N x N float64 tables, ``weights`` and ``sym_weights``."""
+    and the phase's and separator's temporaries; an exact 2x2 landscape and
+    a p=2 run at d=16 peaked at 95-103 per amplitude beyond the rest, at
+    q=18..22), 4 MiB that numpy and BLAS take on first use (3.5 MB
+    measured), plus ``basis_spin_table(d)``, the split
+    ``pair_product_table(d)`` and the instance's two N x N float64 tables,
+    ``weights`` and ``sym_weights``."""
     d, n = scheme.group_size, scheme.n_vars
-    return 96 * scheme.dim + 8 * (1 << d) * (d + d * (d - 1) // 2) + 16 * n * n
+    lo = min(d, SPLIT_BITS)
+    pair_rows = (1 << lo) + (1 << (d - lo))
+    return (112 * scheme.dim + (4 << 20) + 8 * (1 << d) * d
+            + 8 * pair_rows * (d * (d - 1) // 2) + 16 * n * n)
 
 
 def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
@@ -107,7 +130,12 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
 
     spins = basis_spin_table(d)
     zbar_mat = (grouped @ spins) / denom[:, None]
-    corr_mat = (grouped @ pair_product_table(d)) / denom[:, None]
+    template, signs = pair_product_table(d)
+    # one product per (label, high pattern) block, signed and summed
+    blocks = grouped.reshape(-1, len(template)) @ template
+    blocks = blocks.reshape(scheme.n_groups, len(signs), template.shape[1])
+    corr_mat = np.multiply(blocks, signs, out=blocks).sum(axis=1)
+    corr_mat /= denom[:, None]
     for mat in (zbar_mat, corr_mat):
         mat[~observed] = 0.0
         # the clip to [-1, 1], in place; exact for the finite values here
@@ -262,7 +290,13 @@ def build_cost_hamiltonian(
     intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
     d = scheme.group_size
     spins = basis_spin_table(d)
-    block = pair_product_table(d) @ intra_w.T + spins @ h_mat.T  # (2**d, N/d)
+    template, signs = pair_product_table(d)
+    labels = scheme.n_groups
+    # columns (high pattern, label) of the signed weights, rows back in basis order
+    signed = (signs[:, None, :] * intra_w[None, :, :]).reshape(len(signs) * labels, -1)
+    pairs = (template @ signed.T).reshape(len(template), len(signs), labels)
+    pairs = pairs.transpose(1, 0, 2).reshape(1 << d, labels)
+    block = pairs + spins @ h_mat.T  # (2**d, N/d)
     block = block / denom[None, :]
     block[:, ~stats.observed] = 0.0
     return DiagonalOperator(scheme.n_qubits, block.T.ravel())

@@ -104,6 +104,10 @@ class _CostFunction:
 
     def __call__(self, x: np.ndarray) -> float:
         self.eval_count += 1
+        # the incumbent again (a cold search's first vertex is the presearch
+        # winner): served from its cost, counted as SciPy's nfev counts it
+        if self.best_x is not None and np.array_equal(x, self.best_x):
+            return self.best_cost
         trace = run_ansatz(self.instance, self.scheme, self.unpack(np.asarray(x)), mode="exact",
                            start=self.start)
         cost = trace.final_cost

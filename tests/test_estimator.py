@@ -172,10 +172,16 @@ def reference_pair_list_cost(instance, scheme, stats):
     return intra_w, intra, full - intra_zz
 
 
+def dense_pair_products(d):
+    """The (2**d, C(d,2)) products s_a * s_b the estimator once cached whole."""
+    spins = basis_spin_table(d)
+    cols = np.array(data_pair_indices(d), dtype=np.intp).reshape(-1, 2)
+    return spins[:, cols[:, 0]] * spins[:, cols[:, 1]]
+
+
 class TestPairTables:
     """The per-d cached pair tables give the values the per-call pair lists gave."""
 
-    # (24, 12): a table of 16 row blocks at a d other than 16
     @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16), (24, 12)],
                              ids=lambda s: "%dx%d" % s)
     def test_bit_identical_to_pair_list_path(self, shape):
@@ -187,13 +193,24 @@ class TestPairTables:
         assert np.array_equal(_group_weights(inst, scheme)[1], intra_w)
         got = estimate_cost(inst, scheme, stats)
         assert (got.intra, got.inter) == (intra, inter)
-        spins = basis_spin_table(d).astype(np.float64)
-        table = pair_product_table(d)
-        assert pair_product_table(d) is table and not table.flags.writeable
-        assert table.flags.c_contiguous
-        for k, (a, b) in enumerate(data_pair_indices(d)):
-            assert np.array_equal(table[:, k], spins[:, a] * spins[:, b])
 
+    @pytest.mark.parametrize("d", [1, 4, 12, 13, 16])
+    def test_split_rows_rebuild_the_products(self, d):
+        # row hi * 2**low + lo of the products is signs[hi] * template[lo]
+        template, signs = pair_product_table(d)
+        low = min(d, qeopt.estimator.SPLIT_BITS)
+        assert template.shape == (1 << low, d * (d - 1) // 2)
+        assert signs.shape == (1 << (d - low), d * (d - 1) // 2)
+        assert template.flags.c_contiguous and signs.flags.c_contiguous
+        assert set(np.unique(signs)) <= {-1.0, 1.0}
+        rebuilt = (signs[:, None, :] * template[None, :, :]).reshape(1 << d, -1)
+        assert np.array_equal(rebuilt, dense_pair_products(d))
+
+    def test_d16_tables_cached_read_only_and_small(self):
+        tables = pair_product_table(16)
+        assert pair_product_table(16) is tables
+        assert not any(table.flags.writeable for table in tables)
+        assert sum(table.nbytes for table in tables) <= 4 * 2**20
 
     @pytest.mark.parametrize("d", [1, 2, 4, 16])
     def test_spin_value_table(self, d):
@@ -201,7 +218,9 @@ class TestPairTables:
         assert basis_spin_table(d) is table and not table.flags.writeable
         assert table.dtype == np.float64
 
-    @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16)],
+    # (64, 16) and (26, 13) sum the correlations in split blocks, so those are
+    # bounded; the separator's pair products keep their bits at every shape
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16), (26, 13)],
                              ids=lambda s: "%dx%d" % s)
     def test_stats_and_hamiltonian_bit_identical_to_per_call_table(self, shape):
         n, d = shape
@@ -209,16 +228,22 @@ class TestPairTables:
         inst = generate_sk(n, "gaussian", seed=n * d)
         probs = random_state(np.random.default_rng(n + d), scheme.n_qubits).probabilities()
         got = _stats_from_probs(scheme, probs)
-        # the statistics and dense diagonal with the float table converted per call
+        # the statistics and dense diagonal with the whole table built per call
         spins = basis_spin_table(d).astype(np.float64)
+        dense = dense_pair_products(d)
         grouped = probs.reshape(scheme.n_groups, 1 << d)
         zbar = np.clip((grouped @ spins) / got.p_label[:, None], -1.0, 1.0).ravel()
-        corr = np.clip((grouped @ pair_product_table(d)) / got.p_label[:, None], -1.0, 1.0)
+        sums = grouped @ dense
+        corr = np.clip(sums / got.p_label[:, None], -1.0, 1.0)
         assert got.observed.all()
         assert np.array_equal(got.zbar, zbar)
-        assert np.array_equal(got.corr_matrix, corr)
+        if d <= qeopt.estimator.SPLIT_BITS:
+            assert np.array_equal(got.corr_matrix, corr)
+        else:
+            p_label = got.p_label[:, None]
+            assert np.all(np.abs(got.corr_matrix * p_label - sums) <= 1e-14 * p_label)
         h_mat = cross_group_fields(inst, scheme, got).reshape(scheme.n_groups, d)
-        block = pair_product_table(d) @ _group_weights(inst, scheme)[1].T + spins @ h_mat.T
+        block = dense @ _group_weights(inst, scheme)[1].T + spins @ h_mat.T
         block = block / got.p_label[None, :]
         assert np.array_equal(build_cost_hamiltonian(inst, scheme, got).entries, block.T.ravel())
 
@@ -384,6 +409,20 @@ class TestHamiltonian:
         inst = generate_sk(n, "gaussian", seed=seed + 1)
         scheme = make_scheme(n, d)
         state = random_state(rng, scheme.n_qubits)
+        stats = exact_group_stats(scheme, state)
+        ham = build_cost_hamiltonian(inst, scheme, stats)
+        assert state.expectation_diagonal(ham) == pytest.approx(
+            estimate_cost(inst, scheme, stats).total, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("shape", [(26, 13), (64, 16)], ids=lambda s: "%dx%d" % s)
+    def test_expectation_identity_past_the_split(self, shape):
+        """<psi|H[psi]|psi> equals the assembled cost where the pair products
+        are split into sign rows and a template."""
+        n, d = shape
+        inst = generate_sk(n, "gaussian", seed=n + d)
+        scheme = make_scheme(n, d)
+        state = random_state(np.random.default_rng(d), scheme.n_qubits)
         stats = exact_group_stats(scheme, state)
         ham = build_cost_hamiltonian(inst, scheme, stats)
         assert state.expectation_diagonal(ham) == pytest.approx(

@@ -83,6 +83,25 @@ class TestOptimize:
         assert sorted(sched) == [1, 2]
         assert not hasattr(optimizer, "ground_truth")
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free", "frozen"])
+    def test_cold_search_runs_no_point_twice(self, monkeypatch, frozen):
+        # the first Nelder-Mead vertex is the presearch winner; it is served
+        # from its cost but still counted, as SciPy's nfev counts it
+        scheme = make_scheme(16, 4)
+        inst = generate_sk(16, "pm1", seed=2)
+        runs = []
+
+        def counted(instance, scheme, params, **kwargs):
+            runs.append(tuple(params))
+            return run_ansatz(instance, scheme, params, **kwargs)
+
+        monkeypatch.setattr(optimizer, "run_ansatz", counted)
+        config = OptimizerConfig(n_hops=1, max_local_evals=40, freeze_gamma_bias=frozen, seed=3)
+        result = optimize(inst, scheme, 2, config)
+        evaluated = [params for params in runs if params]
+        assert len(set(evaluated)) == len(evaluated)
+        assert result.eval_count == len(evaluated) + 1
+
 
 class TestTransfer:
     def test_doubling_n_divides_gamma_by_two_sqrt_two(self):
