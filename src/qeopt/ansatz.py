@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from qeopt.encoding import EncodingScheme, basis_spin_table
+from qeopt.encoding import EncodingScheme
 from qeopt.estimator import (
     GroupStats,
     build_cost_hamiltonian,
@@ -192,8 +192,9 @@ def appended_layer_grid(
     Entry [i, j, k] equals ``run_ansatz(instance, scheme, list(start.params)
     + [LayerParams(betas[i], gammas[j], biases[k])], start=start).final_cost``
     bit for bit: each point runs the same kernels on the same bits. The phase
-    and the bias of a (gamma, gamma') pair run once, on one copy of the start's
-    final state; each beta mixes its own copy of that phased state.
+    and the bias of a (gamma, gamma') pair run once, on the start's final
+    state copied into one reused state; each beta mixes that phased state
+    copied into a second reused state.
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (betas, gammas, biases)]
     if not all(np.all(np.isfinite(a)) for a in axes):
@@ -203,11 +204,14 @@ def appended_layer_grid(
     betas, gammas, biases = axes
     instance, scheme = start.instance, start.scheme
     costs = np.empty((betas.size, gammas.size, biases.size))
+    phased, mixed = start.final_state.copy(), start.final_state.copy()
     for j, gamma in enumerate(gammas):
         for k, bias in enumerate(biases):
-            phased = _phase_and_bias(start.final_state.copy(), start.separator, gamma, bias)
+            np.copyto(phased.amps, start.final_state.amps)
+            _phase_and_bias(phased, start.separator, gamma, bias)
             for i, beta in enumerate(betas):
-                stats = exact_group_stats(scheme, phased.copy().apply_mixer(beta))
+                np.copyto(mixed.amps, phased.amps)
+                stats = exact_group_stats(scheme, mixed.apply_mixer(beta))
                 costs[i, j, k] = estimate_cost(instance, scheme, stats).total
     return costs
 
@@ -272,12 +276,12 @@ def extract_solution(trace: AnsatzTrace, seed: int = 0) -> tuple[np.ndarray, flo
     if final is None:
         final = trace.final_state.probabilities()
     grouped = final.reshape(scheme.n_groups, 1 << d)
-    spins = basis_spin_table(d)
+    shifts = np.arange(d - 1, -1, -1)
     cand_b = np.empty(scheme.n_vars, dtype=np.int8)
     for label in range(scheme.n_groups):
         if grouped[label].sum() > 0:
             pattern = int(np.argmax(grouped[label]))
-            cand_b[d * label : d * (label + 1)] = spins[pattern]
+            cand_b[d * label : d * (label + 1)] = 1 - 2 * ((pattern >> shifts) & 1)
         else:
             cand_b[d * label : d * (label + 1)] = rng.integers(0, 2, size=d) * 2 - 1
 

@@ -9,14 +9,16 @@ used everywhere in the package:
 * label qubits occupy the most significant positions, data qubit 0 is the
   most significant data bit,
 * spin +1 maps to bit 0, spin -1 to bit 1.
+
+So data qubit a of pattern b holds spin 1 - 2 * ((b >> (d - 1 - a)) & 1).
+The package decodes patterns with these shifts and keeps no table with a
+row per pattern: the estimator's spin and pair tables come in split form
+(``estimator.pair_product_table``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,3 @@ def is_pow2_multiple(n: int, d: int) -> bool:
     q = n // d
     return q & (q - 1) == 0
 
-
-@cache
-def basis_spin_table(d: int) -> np.ndarray:
-    """(2**d, d) read-only float64 table of the spins +-1.0 per data bit
-    pattern, cached per d."""
-    patterns = np.arange(1 << d)[:, None]
-    shifts = np.arange(d - 1, -1, -1)[None, :]
-    table = (1 - 2 * ((patterns >> shifts) & 1)).astype(np.float64)
-    table.setflags(write=False)
-    return table

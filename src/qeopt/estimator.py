@@ -8,15 +8,18 @@ uses measured pair correlations and a cross-group part built from products
 of single-spin means. The same statistics define the diagonal Hamiltonian
 whose expectation reproduces the cost; its coefficients are normalized by
 the current label probabilities, so the operator depends on the state it
-was measured from. Statistics and the diagonal read the encoding's float64
-spin table ``basis_spin_table`` and the pair products s_a * s_b of its
-rows, both cached per group size. The pair products are kept in split
-form (``pair_product_table``): a data pattern is a high part of
+was measured from.
+
+Statistics and the diagonal read the spins s_a of a data pattern and the
+pair products s_a * s_b, both in split form, cached per group size
+(``pair_product_table``): a data pattern is a high part of
 max(0, d - SPLIT_BITS) bits and a low part of min(d, SPLIT_BITS) bits, and
-its row of products is a +-1 sign row of the high part times a template
-row of the low part, so no 2**d x C(d,2) table is ever built. Up to d =
-SPLIT_BITS the template is the whole table and the signs one row of ones,
-so the sign multiply and the sum over the one high pattern are exact.
+its row of spins (or products) is a +-1 sign row of the high part times a
+template row of the low part, so no 2**d-row table is ever built. Up to d =
+SPLIT_BITS the templates are the whole tables and the signs one row of
+ones, so the statistics skip the signs and the products are the ones the
+dense tables gave. The dense diagonal is written in place into its one
+output array.
 """
 
 from __future__ import annotations
@@ -25,17 +28,18 @@ import logging
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from qeopt.encoding import EncodingScheme, basis_spin_table
+from qeopt.encoding import EncodingScheme
 from qeopt.problem import SKInstance
 from qeopt.simulator import DiagonalOperator, Statevector
 
 log = logging.getLogger(__name__)
 
 OBSERVED_EPS = 1e-12
-# data bits the pair-product template spans; higher bits only flip signs
+# data bits the split tables' templates span; higher bits only flip signs
 SPLIT_BITS = 12
 
 
@@ -76,47 +80,76 @@ def _pair_columns(d: int) -> tuple[np.ndarray, np.ndarray]:
     return cols[0], cols[1]
 
 
-@cache
-def pair_product_table(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only split form ``(template, signs)`` of the (2**d, C(d,2))
-    products s_a * s_b of the basis spin table, columns in ``_pair_columns``
-    order, cached per d.
+class SplitTables(NamedTuple):
+    """Read-only split form of the (2**d, d) spins and the (2**d, C(d,2))
+    pair products s_a * s_b of the data patterns, pair columns in
+    ``_pair_columns`` order.
 
     With lo = min(d, SPLIT_BITS) low data bits and h = d - lo high ones,
-    row hi * 2**lo + lo_bits of the products is exactly
-    ``signs[hi] * template[lo_bits]``. ``template`` (2**lo, C(d,2)) holds the
-    rows whose high bits are 0: a low pair's product, a mixed pair's low
-    spin, 1 for a high pair. ``signs`` (2**h, C(d,2)) holds the rows whose
-    low bits are 0, the high part's +-1. At h = 0 the template is the whole
-    table and ``signs`` one row of ones.
+    row hi * 2**lo + lo_bits of the spins is exactly
+    ``spin_signs[hi] * spin_template[lo_bits]``, and likewise for the pairs.
+    A template (2**lo rows) holds the rows whose high bits are 0: a low
+    spin, 1 for a high one; a low pair's product, a mixed pair's low spin, 1
+    for a high pair. The signs (2**h rows) hold the rows whose low bits are
+    0, the high part's +-1. At h = 0 the templates are the whole tables and
+    the signs one row of ones.
     """
-    spins = basis_spin_table(d)
+
+    spin_template: np.ndarray
+    spin_signs: np.ndarray
+    pair_template: np.ndarray
+    pair_signs: np.ndarray
+
+
+def _spin_rows(patterns: np.ndarray, d: int) -> np.ndarray:
+    """(len(patterns), d) float64 spins +-1.0 of the d-bit data patterns."""
+    shifts = np.arange(d - 1, -1, -1)
+    return (1 - 2 * ((patterns[:, None] >> shifts) & 1)).astype(np.float64)
+
+
+@cache
+def pair_product_table(d: int) -> SplitTables:
+    """The split spin and pair-product tables of group size d, built from
+    bit arithmetic and cached per d."""
+    lo = min(d, SPLIT_BITS)
     a, b = _pair_columns(d)
-    step = 1 << min(d, SPLIT_BITS)
     tables = []
-    for rows in (spins[:step], spins[::step]):
+    for spins in (_spin_rows(np.arange(1 << lo), d), _spin_rows(np.arange(1 << (d - lo)) << lo, d)):
         # written into C order: the gathered operands are column-major
-        table = np.multiply(rows[:, a], rows[:, b], out=np.empty((len(rows), a.size)))
+        pairs = np.multiply(spins[:, a], spins[:, b], out=np.empty((len(spins), a.size)))
+        tables += [spins, pairs]
+    for table in tables:
         table.setflags(write=False)
-        tables.append(table)
-    return tuple(tables)
+    spin_template, pair_template, spin_signs, pair_signs = tables
+    return SplitTables(spin_template, spin_signs, pair_template, pair_signs)
 
 
 def exact_evaluation_bytes(scheme: EncodingScheme) -> int:
-    """Estimated peak bytes of one exact evaluation: 112 per amplitude (three
-    complex states -- a start trace's final state, its phased copy and a
-    mixed copy, as the appended-layer grid holds them -- two dense diagonals
-    and the phase's and separator's temporaries; an exact 2x2 landscape and
-    a p=2 run at d=16 peaked at 95-103 per amplitude beyond the rest, at
-    q=18..22), 4 MiB that numpy and BLAS take on first use (3.5 MB
-    measured), plus ``basis_spin_table(d)``, the split
-    ``pair_product_table(d)`` and the instance's two N x N float64 tables,
-    ``weights`` and ``sym_weights``."""
+    """Estimated peak bytes of one exact evaluation: 88 per amplitude, 4 MiB
+    that numpy and BLAS take on first use (3.5 MB measured), plus the split
+    tables of ``pair_product_table(d)`` and the instance's two N x N float64
+    tables, ``weights`` and ``sym_weights``.
+
+    The appended-layer grid holds the most: the start's final state, its
+    separator, the reused phased and mixed states and the probabilities, 64
+    bytes per amplitude. An exact 2x2 landscape and a p=2 run grew the peak
+    by 65-78 per amplitude beyond the rest, at q = 18..22 (d = 12 and 16);
+    88 keeps a margin over that.
+    """
     d, n = scheme.group_size, scheme.n_vars
     lo = min(d, SPLIT_BITS)
-    pair_rows = (1 << lo) + (1 << (d - lo))
-    return (112 * scheme.dim + (4 << 20) + 8 * (1 << d) * d
-            + 8 * pair_rows * (d * (d - 1) // 2) + 16 * n * n)
+    split_rows = (1 << lo) + (1 << (d - lo))
+    return (88 * scheme.dim + (4 << 20)
+            + 8 * split_rows * (d + d * (d - 1) // 2) + 16 * n * n)
+
+
+def _signed_block_sums(blocks: np.ndarray, signs: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per label, the sum over high patterns hi of signs[hi] * blocks[label, hi];
+    ``blocks`` holds the (label, high pattern) rows of a template product."""
+    if len(signs) == 1:  # d <= SPLIT_BITS: the signs are ones, the sum one block
+        return blocks
+    blocks = blocks.reshape(n_groups, len(signs), signs.shape[1])
+    return np.multiply(blocks, signs, out=blocks).sum(axis=1)
 
 
 def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
@@ -128,13 +161,12 @@ def _stats_from_probs(scheme: EncodingScheme, probs: np.ndarray,
         observed = p_label > OBSERVED_EPS
     denom = np.where(observed, p_label, 1.0)
 
-    spins = basis_spin_table(d)
-    zbar_mat = (grouped @ spins) / denom[:, None]
-    template, signs = pair_product_table(d)
-    # one product per (label, high pattern) block, signed and summed
-    blocks = grouped.reshape(-1, len(template)) @ template
-    blocks = blocks.reshape(scheme.n_groups, len(signs), template.shape[1])
-    corr_mat = np.multiply(blocks, signs, out=blocks).sum(axis=1)
+    tables = pair_product_table(d)
+    # one product per (label, high pattern) block and table, signed and summed
+    rows = grouped.reshape(-1, len(tables.spin_template))
+    zbar_mat = _signed_block_sums(rows @ tables.spin_template, tables.spin_signs, scheme.n_groups)
+    zbar_mat /= denom[:, None]
+    corr_mat = _signed_block_sums(rows @ tables.pair_template, tables.pair_signs, scheme.n_groups)
     corr_mat /= denom[:, None]
     for mat in (zbar_mat, corr_mat):
         mat[~observed] = 0.0
@@ -288,15 +320,15 @@ def build_cost_hamiltonian(
 ) -> DiagonalOperator:
     """Materialize the state-dependent Hamiltonian as a dense diagonal."""
     intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
-    d = scheme.group_size
-    spins = basis_spin_table(d)
-    template, signs = pair_product_table(d)
-    labels = scheme.n_groups
-    # columns (high pattern, label) of the signed weights, rows back in basis order
-    signed = (signs[:, None, :] * intra_w[None, :, :]).reshape(len(signs) * labels, -1)
-    pairs = (template @ signed.T).reshape(len(template), len(signs), labels)
-    pairs = pairs.transpose(1, 0, 2).reshape(1 << d, labels)
-    block = pairs + spins @ h_mat.T  # (2**d, N/d)
-    block = block / denom[None, :]
-    block[:, ~stats.observed] = 0.0
-    return DiagonalOperator(scheme.n_qubits, block.T.ravel())
+    tables = pair_product_table(scheme.group_size)
+    labels, low = scheme.n_groups, len(tables.pair_template)
+    block = np.empty((labels, scheme.dim // labels))
+    # row label * 2**h + hi holds the entries of high pattern hi in the
+    # label's row; its weights are the label's, signed by the high pattern
+    rows = block.reshape(-1, low)
+    signed = (intra_w[:, None, :] * tables.pair_signs).reshape(len(rows), -1)
+    np.matmul(signed, tables.pair_template.T, out=rows)
+    rows += (h_mat[:, None, :] * tables.spin_signs).reshape(len(rows), -1) @ tables.spin_template.T
+    block /= denom[:, None]
+    block[~stats.observed] = 0.0
+    return DiagonalOperator(scheme.n_qubits, block.ravel())

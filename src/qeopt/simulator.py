@@ -29,6 +29,18 @@ bits depend on the loop numpy picks for the operand layout. The tests pin
 the broadcast against the two per-half multiplies for q >= 2; on a
 one-qubit state numpy rounds a one-element product without FMA and the two
 forms may differ in the last bit.
+
+The diagonal phase, exp(i gamma entries), runs in blocks of 2**BLOCK_QUBITS
+amplitudes with no state-sized temporary: it writes cos and sin of
+gamma * entries into one reused complex block and multiplies the state by it
+in place. That is the phase ``np.exp(1j * gamma * entries)`` gives, bit for
+bit. With c = 1j * gamma, the complex product c * (e + 0j) has a real part
+of +-0 and the imaginary part c.imag * e + c.real * 0, which is gamma * e
+rounded once, with the zero term setting only the sign of a zero angle; the
+kernel computes the same two terms. glibc's cexp of (+-0, y) is
+(cos y, sin y), the values numpy's float64 cos and sin take from the same
+libm. The tests pin the blocked phase against the whole-array form, signed
+zeros included.
 """
 
 from __future__ import annotations
@@ -90,7 +102,8 @@ class Statevector:
         return Statevector(self.n_qubits, self.amps)
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        probs = np.abs(self.amps)
+        return np.square(probs, out=probs)
 
     # -- single-qubit gates ------------------------------------------------
 
@@ -137,9 +150,21 @@ class Statevector:
             raise ValueError(f"diagonal acts on {diag.n_qubits} qubits, state has {self.n_qubits}")
 
     def apply_diagonal_phase(self, diag: DiagonalOperator, gamma: float) -> "Statevector":
-        """amp_k <- exp(i gamma entries_k) amp_k."""
+        """amp_k <- exp(i gamma entries_k) amp_k, in blocks of 2**BLOCK_QUBITS
+        amplitudes: the block's phase is written as cos and sin of
+        gamma * entries into one reused complex block, then multiplied in
+        place (see the module docstring for why this is exp's phase)."""
         self._check_diagonal(diag)
-        self.amps *= np.exp(1j * gamma * diag.entries)
+        size = min(self.dim, 1 << BLOCK_QUBITS)
+        angle, phase = np.empty(size), np.empty(size, dtype=np.complex128)
+        # the angle is the imaginary part of (1j * gamma) * (entry + 0j)
+        coeff = 1j * gamma
+        for start in range(0, self.dim, size):
+            np.multiply(diag.entries[start:start + size], coeff.imag, out=angle)
+            angle += coeff.real * 0.0
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
+            self.amps[start:start + size] *= phase
         return self
 
     def apply_mixer(self, beta: float) -> "Statevector":
@@ -199,7 +224,7 @@ class Statevector:
         if n_shots < 1:
             raise ValueError(f"need at least one shot, got {n_shots}")
         probs = self.probabilities()
-        probs = probs / probs.sum()
+        probs /= probs.sum()
         rng = stream(seed, "sample", *key)
         return rng.multinomial(n_shots, probs)
 

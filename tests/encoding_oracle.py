@@ -1,7 +1,9 @@
 """Scalar reference for the encoding conventions, kept out of the package.
 
-The package decodes basis indices with ``basis_spin_table`` and reshapes by
-label; the tests check it against this variable-by-variable encoder.
+The package decodes basis indices with the split spin tables of
+``estimator.pair_product_table`` (or with shifts) and reshapes by label; the
+tests check it against this variable-by-variable encoder and the dense spin
+table below.
 """
 
 import numpy as np
@@ -26,3 +28,17 @@ def encode_target(scheme, spins, lambdas=None) -> np.ndarray:
     for label, pattern in enumerate(bits):
         amps[(label << d) | pattern] += lambdas[label]
     return amps
+
+
+def spin_table(d) -> np.ndarray:
+    """(2**d, d) float64 spins +-1.0 of every d-bit data pattern, the dense
+    table the package no longer builds: row k holds the spins of data bits k,
+    data qubit 0 (the most significant bit) first, spin +1 for bit 0."""
+    patterns = np.arange(1 << d)[:, None]
+    shifts = np.arange(d - 1, -1, -1)[None, :]
+    return (1 - 2 * ((patterns >> shifts) & 1)).astype(np.float64)
+
+
+def split_rows(template, signs) -> np.ndarray:
+    """The dense table whose row hi * len(template) + lo is signs[hi] * template[lo]."""
+    return (signs[:, None, :] * template[None, :, :]).reshape(len(signs) * len(template), -1)

@@ -2,11 +2,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from encoding_oracle import encode_target
+from encoding_oracle import encode_target, spin_table, split_rows
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qeopt.encoding import basis_spin_table, make_scheme
+from qeopt.encoding import make_scheme
+from qeopt.estimator import pair_product_table
 
 
 class TestMakeScheme:
@@ -61,11 +62,11 @@ class TestMakeScheme:
 
 def site_of(scheme, i):
     """(label, data qubit) holding variable i: the oracle encodes the string
-    whose only -1 is variable i, and basis_spin_table decodes its support."""
+    whose only -1 is variable i, and the oracle's spin table decodes its support."""
     spins = np.ones(scheme.n_vars, dtype=int)
     spins[i] = -1
     d = scheme.group_size
-    table = basis_spin_table(d)
+    table = spin_table(d)
     sites = [(int(index) >> d, int(qubit))
              for index in np.flatnonzero(encode_target(scheme, spins))
              for qubit in np.flatnonzero(table[index & ((1 << d) - 1)] == -1)]
@@ -133,13 +134,19 @@ class TestEncodeTarget:
         assert np.count_nonzero(amps) == n4_scheme.n_groups
 
 
+def package_spins(d):
+    """The dense spin table rebuilt from the package's split spin tables."""
+    tables = pair_product_table(d)
+    return split_rows(tables.spin_template, tables.spin_signs)
+
+
 class TestDecodeShot:
     """A shot that reads basis index k belongs to label k >> d and carries the
-    spins basis_spin_table(d)[k mod 2**d]; the estimator and the rounding
-    read shots this way."""
+    spins of data bits k mod 2**d, row k mod 2**d of the split spin tables;
+    the estimator and the rounding read shots this way."""
 
     def test_supp_table_rows(self, n4_scheme):
-        table = basis_spin_table(n4_scheme.group_size)
+        table = package_spins(n4_scheme.group_size)
         assert 0b001 >> 2 == 0
         np.testing.assert_array_equal(table[0b001 & 0b11], [1, -1])
         assert 0b100 >> 2 == 1
@@ -148,13 +155,13 @@ class TestDecodeShot:
     def test_d_equals_n_full_string(self):
         scheme = make_scheme(4, 4)
         assert 0b0101 >> scheme.group_size == 0
-        np.testing.assert_array_equal(basis_spin_table(4)[0b0101], [1, -1, 1, -1])
+        np.testing.assert_array_equal(package_spins(4)[0b0101], [1, -1, 1, -1])
 
     @given(st.integers(0, 3), st.integers(0, 3))
     def test_round_trip_single_basis_states(self, label, pattern):
         scheme = make_scheme(8, 2)
         spins = np.ones(8, dtype=int)
-        spins[2 * label : 2 * label + 2] = basis_spin_table(2)[pattern]
+        spins[2 * label : 2 * label + 2] = package_spins(2)[pattern]
         lam = np.zeros(4)
         lam[label] = 1.0
         assert np.flatnonzero(encode_target(scheme, spins, lam)).tolist() == [(label << 2) | pattern]
@@ -163,18 +170,19 @@ class TestDecodeShot:
 @settings(max_examples=30)
 @given(st.integers(1, 6), st.integers(0, 63))
 def test_bit_packing_round_trip(d, bits):
-    """basis_spin_table unpacks exactly the data bits the oracle packs."""
+    """The package's spins unpack exactly the data bits the oracle packs."""
     bits = bits & ((1 << d) - 1)
-    spins = np.concatenate([basis_spin_table(d)[bits], np.ones(d, dtype=np.int8)])
+    spins = np.concatenate([package_spins(d)[bits], np.ones(d, dtype=np.int8)])
     amps = encode_target(make_scheme(2 * d, d), spins, np.array([1.0, 0.0]))
     assert np.flatnonzero(amps).tolist() == [bits]
 
 
 def test_spin_table_matches_scalar_decoding():
-    for d in range(1, 7):
-        table = basis_spin_table(d)
-        assert table.shape == (1 << d, d) and not table.flags.writeable
-        assert basis_spin_table(d) is table
-        for pattern in range(1 << d):
+    # the package's split tables rebuild the oracle's dense table, which
+    # decodes each pattern bit by bit (checked in full up to d = 6)
+    for d in (1, 2, 3, 4, 5, 6, 12, 13, 16):
+        table = spin_table(d)
+        assert np.array_equal(package_spins(d), table)
+        for pattern in range(min(1 << d, 64)):
             expected = [1 if (pattern >> (d - 1 - j)) & 1 == 0 else -1 for j in range(d)]
             assert table[pattern].tolist() == expected

@@ -1,13 +1,15 @@
 import functools
+import importlib
 import logging
+import pkgutil
 
 import numpy as np
 import pytest
-from encoding_oracle import encode_target
+from encoding_oracle import encode_target, spin_table, split_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qeopt.encoding import basis_spin_table, make_scheme
+from qeopt.encoding import make_scheme
 import qeopt.estimator
 from qeopt.estimator import (
     GroupStats,
@@ -174,7 +176,7 @@ def reference_pair_list_cost(instance, scheme, stats):
 
 def dense_pair_products(d):
     """The (2**d, C(d,2)) products s_a * s_b the estimator once cached whole."""
-    spins = basis_spin_table(d)
+    spins = spin_table(d)
     cols = np.array(data_pair_indices(d), dtype=np.intp).reshape(-1, 2)
     return spins[:, cols[:, 0]] * spins[:, cols[:, 1]]
 
@@ -196,30 +198,56 @@ class TestPairTables:
 
     @pytest.mark.parametrize("d", [1, 4, 12, 13, 16])
     def test_split_rows_rebuild_the_products(self, d):
-        # row hi * 2**low + lo of the products is signs[hi] * template[lo]
-        template, signs = pair_product_table(d)
+        # row hi * 2**low + lo of the spins and of the products is
+        # signs[hi] * template[lo]
+        tables = pair_product_table(d)
         low = min(d, qeopt.estimator.SPLIT_BITS)
-        assert template.shape == (1 << low, d * (d - 1) // 2)
-        assert signs.shape == (1 << (d - low), d * (d - 1) // 2)
-        assert template.flags.c_contiguous and signs.flags.c_contiguous
-        assert set(np.unique(signs)) <= {-1.0, 1.0}
-        rebuilt = (signs[:, None, :] * template[None, :, :]).reshape(1 << d, -1)
-        assert np.array_equal(rebuilt, dense_pair_products(d))
+        for template, signs, width in ((tables.spin_template, tables.spin_signs, d),
+                                       (tables.pair_template, tables.pair_signs, d * (d - 1) // 2)):
+            assert template.shape == (1 << low, width)
+            assert signs.shape == (1 << (d - low), width)
+            assert template.flags.c_contiguous and signs.flags.c_contiguous
+            assert set(np.unique(signs)) <= {-1.0, 1.0}
+        assert np.array_equal(split_rows(tables.spin_template, tables.spin_signs), spin_table(d))
+        assert np.array_equal(split_rows(tables.pair_template, tables.pair_signs),
+                              dense_pair_products(d))
 
     def test_d16_tables_cached_read_only_and_small(self):
         tables = pair_product_table(16)
         assert pair_product_table(16) is tables
         assert not any(table.flags.writeable for table in tables)
-        assert sum(table.nbytes for table in tables) <= 4 * 2**20
+        assert tables.pair_template.nbytes + tables.pair_signs.nbytes <= 4 * 2**20
+        # the dense (2**16, 16) spin table held 8 MiB
+        assert tables.spin_template.nbytes + tables.spin_signs.nbytes <= 2**20
 
     @pytest.mark.parametrize("d", [1, 2, 4, 16])
     def test_spin_value_table(self, d):
-        table = basis_spin_table(d)
-        assert basis_spin_table(d) is table and not table.flags.writeable
-        assert table.dtype == np.float64
+        # the split spin tables are float64 and rebuild the oracle's dense table
+        tables = pair_product_table(d)
+        for table in (tables.spin_template, tables.spin_signs):
+            assert table.dtype == np.float64 and not table.flags.writeable
+        assert np.array_equal(split_rows(tables.spin_template, tables.spin_signs), spin_table(d))
 
-    # (64, 16) and (26, 13) sum the correlations in split blocks, so those are
-    # bounded; the separator's pair products keep their bits at every shape
+    def test_warm_up_builds_every_cached_table(self):
+        # the benchmark warms only pair_product_table(d) in set-up; a table an
+        # exact evaluation built later would move set-up cost into its timing
+        caches = [obj for info in pkgutil.iter_modules(qeopt.__path__)
+                  for obj in vars(importlib.import_module(f"qeopt.{info.name}")).values()
+                  if callable(getattr(obj, "cache_info", None))]
+        assert pair_product_table in caches
+        for wrapper in caches:
+            wrapper.cache_clear()
+        pair_product_table(16)
+        warmed = [wrapper.cache_info().currsize for wrapper in caches]
+        scheme = make_scheme(64, 16)
+        inst = generate_sk(64, "pm1", seed=3)
+        stats = exact_group_stats(scheme, random_state(np.random.default_rng(3), scheme.n_qubits))
+        build_cost_hamiltonian(inst, scheme, stats)
+        estimate_cost(inst, scheme, stats)
+        assert [wrapper.cache_info().currsize for wrapper in caches] == warmed
+
+    # (64, 16) and (26, 13) sum zbar and the correlations in split blocks, so
+    # those are bounded; the separator keeps its bits at every shape
     @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16), (26, 13)],
                              ids=lambda s: "%dx%d" % s)
     def test_stats_and_hamiltonian_bit_identical_to_per_call_table(self, shape):
@@ -228,24 +256,35 @@ class TestPairTables:
         inst = generate_sk(n, "gaussian", seed=n * d)
         probs = random_state(np.random.default_rng(n + d), scheme.n_qubits).probabilities()
         got = _stats_from_probs(scheme, probs)
-        # the statistics and dense diagonal with the whole table built per call
-        spins = basis_spin_table(d).astype(np.float64)
+        # the statistics and dense diagonal with the whole tables built per call
+        spins = spin_table(d)
         dense = dense_pair_products(d)
         grouped = probs.reshape(scheme.n_groups, 1 << d)
-        zbar = np.clip((grouped @ spins) / got.p_label[:, None], -1.0, 1.0).ravel()
+        zsums = grouped @ spins
+        zbar = np.clip(zsums / got.p_label[:, None], -1.0, 1.0).ravel()
         sums = grouped @ dense
         corr = np.clip(sums / got.p_label[:, None], -1.0, 1.0)
         assert got.observed.all()
-        assert np.array_equal(got.zbar, zbar)
+        p_label = got.p_label[:, None]
         if d <= qeopt.estimator.SPLIT_BITS:
+            assert np.array_equal(got.zbar, zbar)
             assert np.array_equal(got.corr_matrix, corr)
         else:
-            p_label = got.p_label[:, None]
+            zbar_mat = got.zbar.reshape(scheme.n_groups, d)
+            assert np.all(np.abs(zbar_mat * p_label - zsums) <= 1e-14 * p_label)
             assert np.all(np.abs(got.corr_matrix * p_label - sums) <= 1e-14 * p_label)
-        h_mat = cross_group_fields(inst, scheme, got).reshape(scheme.n_groups, d)
-        block = dense @ _group_weights(inst, scheme)[1].T + spins @ h_mat.T
-        block = block / got.p_label[None, :]
-        assert np.array_equal(build_cost_hamiltonian(inst, scheme, got).entries, block.T.ravel())
+        intra_w = _group_weights(inst, scheme)[1]
+
+        def dense_diagonal(stats):
+            h_mat = cross_group_fields(inst, scheme, stats).reshape(scheme.n_groups, d)
+            block = dense @ intra_w.T + spins @ h_mat.T
+            return (block / stats.p_label[None, :]).T.ravel()
+
+        entries = build_cost_hamiltonian(inst, scheme, got).entries
+        assert np.array_equal(entries, dense_diagonal(got))
+        # against the separator of the dense-table statistics
+        oracle = dense_diagonal(GroupStats(got.p_label, zbar, corr, got.observed))
+        assert np.all(np.abs(entries - oracle) <= 1e-13 * np.abs(oracle).max())
 
 
 def looped_cross_group_fields(instance, scheme, zbar):

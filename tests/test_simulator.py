@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qeopt.simulator
 from qeopt.encoding import make_scheme
+from qeopt.rng import stream
 from qeopt.simulator import DiagonalOperator, Statevector, init_plus
 
 I2 = np.eye(2)
@@ -343,6 +344,63 @@ class TestDiagonal:
             DiagonalOperator(2, [1.0, np.nan, 0.0, 0.0])
         with pytest.raises(ValueError, match="expected 4 entries"):
             DiagonalOperator(2, np.ones((2, 2)))
+
+
+def same_bits(a, b):
+    """Equal as integers: float equality takes -0.0 for 0.0."""
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPhaseAndReadoutKernels:
+    """The blocked phase, the in-place probabilities and the in-place sample
+    normalization give the bits of the whole-array forms they replace."""
+
+    @staticmethod
+    def states(rng, q):
+        """A random state, |+> and a state whose zero components carry both signs."""
+        signed = random_state(rng, q)
+        signed.amps.real[::3] = -0.0
+        signed.amps.imag[1::3] = -0.0
+        signed.amps.imag[2::3] = 0.0
+        return random_state(rng, q), init_plus(q), signed
+
+    @pytest.mark.parametrize("q", [1, 2, 8, 14, 15, 18])
+    def test_phase_bit_identical_to_exp(self, q):
+        assert qeopt.simulator.BLOCK_QUBITS == 14
+        rng = np.random.default_rng(q)
+        for scale in (1e-3, 1.0, 1e3):  # |gamma * entries| up to 1e3
+            entries = rng.uniform(-1.0, 1.0, 1 << q) * scale
+            entries[rng.random(1 << q) < 0.05] = 0.0
+            entries[rng.random(1 << q) < 0.05] = -0.0
+            diag = DiagonalOperator(q, entries)
+            for gamma in (0.0, -0.0, -0.7, 1.0, float(rng.uniform(-1, 1))):
+                for state in self.states(rng, q):
+                    # the in-place multiply, as the kernel was: from 2**14
+                    # amplitudes on, `amps * np.exp(...)` lets numpy reuse the
+                    # temporary with the operands swapped, which moves last bits
+                    want = state.amps.copy()
+                    want *= np.exp(1j * gamma * entries)
+                    state.apply_diagonal_phase(diag, gamma)
+                    assert same_bits(state.amps, want)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_phase_with_small_blocks(self, monkeypatch, n):
+        monkeypatch.setattr(qeopt.simulator, "BLOCK_QUBITS", 2)
+        rng = np.random.default_rng(n)
+        entries = rng.uniform(-10.0, 10.0, 1 << n)
+        state = random_state(rng, n)
+        want = state.amps.copy()
+        want *= np.exp(1j * 0.3 * entries)
+        assert same_bits(state.apply_diagonal_phase(DiagonalOperator(n, entries), 0.3).amps, want)
+
+    @pytest.mark.parametrize("q", [1, 3, 10, 15])
+    def test_probabilities_and_sample_as_before(self, q):
+        state = random_state(np.random.default_rng(q + 40), q)
+        probs = np.abs(state.amps) ** 2
+        assert same_bits(state.probabilities(), probs)
+        for seed, key in ((0, ()), (7, ("ansatz-layer", 2))):
+            want = stream(seed, "sample", *key).multinomial(1000, probs / probs.sum())
+            assert np.array_equal(state.sample(1000, seed=seed, key=key), want)
 
 
 class TestExpectation:

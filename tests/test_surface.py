@@ -5,6 +5,7 @@ be read by the code of ``src/qeopt`` or of a Python file under ``scripts/``
 or ``bench/``. A name only the tests read is surface without a program use.
 Click commands are registered by their decorator and are not checked.
 A private module-level function must be read by the code of ``src/qeopt``.
+A function behind a ``functools.cache`` wrapper is checked as a function.
 Reading means a name or an attribute in the code: a call or a reference.
 A definition, an import, a docstring or a comment does not count, so a
 helper whose last caller has gone is dead code.
@@ -27,14 +28,27 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {"optimize_gamma_scale", "fit_gamma_scaling"}
 
 
-def public_names():
+def defined_here(module, obj):
+    """Whether ``obj`` is a function (cached or not) or class that ``module`` defines."""
+    if not inspect.isclass(obj):
+        obj = inspect.unwrap(obj)
+        if not inspect.isfunction(obj):
+            return False
+    return obj.__module__ == module.__name__
+
+
+def module_objects():
     for info in pkgutil.iter_modules(qeopt.__path__):
         module = importlib.import_module(f"qeopt.{info.name}")
         for name, obj in vars(module).items():
-            if name.startswith("_") or isinstance(obj, click.Command):
-                continue
-            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__:
-                yield name
+            if defined_here(module, obj):
+                yield name, obj
+
+
+def public_names():
+    for name, obj in module_objects():
+        if not name.startswith("_") and not isinstance(obj, click.Command):
+            yield name
 
 
 def code_identifiers(files):
@@ -62,11 +76,12 @@ def test_allowed_names_still_exist():
 
 
 def test_every_private_function_has_a_caller_in_the_package():
-    private = set()
-    for info in pkgutil.iter_modules(qeopt.__path__):
-        module = importlib.import_module(f"qeopt.{info.name}")
-        private |= {name for name, obj in vars(module).items()
-                    if name.startswith("_") and not name.startswith("__")
-                    and inspect.isfunction(obj) and obj.__module__ == module.__name__}
+    private = {name for name, obj in module_objects()
+               if name.startswith("_") and not name.startswith("__") and not inspect.isclass(obj)}
     orphans = sorted(private - set(code_identifiers(PACKAGE_FILES)))
     assert not orphans, f"private functions no code in src/qeopt reads: {orphans}"
+
+
+def test_cached_functions_are_checked():
+    names = {name for name, _ in module_objects()}
+    assert {"pair_product_table", "_pair_columns"} <= names
