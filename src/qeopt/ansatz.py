@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from qeopt.encoding import EncodingScheme
+from qeopt.encoding import EncodingScheme, pattern_spins
 from qeopt.estimator import (
     GroupStats,
     build_cost_hamiltonian,
@@ -276,12 +276,11 @@ def extract_solution(trace: AnsatzTrace, seed: int = 0) -> tuple[np.ndarray, flo
     if final is None:
         final = trace.final_state.probabilities()
     grouped = final.reshape(scheme.n_groups, 1 << d)
-    shifts = np.arange(d - 1, -1, -1)
     cand_b = np.empty(scheme.n_vars, dtype=np.int8)
     for label in range(scheme.n_groups):
         if grouped[label].sum() > 0:
             pattern = int(np.argmax(grouped[label]))
-            cand_b[d * label : d * (label + 1)] = 1 - 2 * ((pattern >> shifts) & 1)
+            cand_b[d * label : d * (label + 1)] = pattern_spins(pattern, d)
         else:
             cand_b[d * label : d * (label + 1)] = rng.integers(0, 2, size=d) * 2 - 1
 

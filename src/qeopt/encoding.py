@@ -11,14 +11,16 @@ used everywhere in the package:
 * spin +1 maps to bit 0, spin -1 to bit 1.
 
 So data qubit a of pattern b holds spin 1 - 2 * ((b >> (d - 1 - a)) & 1).
-The package decodes patterns with these shifts and keeps no table with a
-row per pattern: the estimator's spin and pair tables come in split form
-(``estimator.pair_product_table``).
+``pattern_spins`` is the one decoder of that format. The package keeps no
+table with a row per pattern: the estimator's spin and pair tables come in
+split form (``estimator.pair_product_table``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,13 @@ class EncodingScheme:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
+
+
+def pattern_spins(patterns, d: int) -> np.ndarray:
+    """Float64 spins +-1.0 of d-bit data patterns, data qubit 0 first: shape
+    (d,) for one pattern, (len(patterns), d) for a 1-D array of them."""
+    shifts = np.arange(d - 1, -1, -1)
+    return (1 - 2 * ((np.asarray(patterns)[..., None] >> shifts) & 1)).astype(np.float64)
 
 
 def make_scheme(n_vars: int, group_size: int, allow_padding: bool = False) -> EncodingScheme:

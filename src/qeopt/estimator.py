@@ -17,9 +17,10 @@ max(0, d - SPLIT_BITS) bits and a low part of min(d, SPLIT_BITS) bits, and
 its row of spins (or products) is a +-1 sign row of the high part times a
 template row of the low part, so no 2**d-row table is ever built. Up to d =
 SPLIT_BITS the templates are the whole tables and the signs one row of
-ones, so the statistics skip the signs and the products are the ones the
-dense tables gave. The dense diagonal is written in place into its one
-output array.
+ones, whose multiply and one-block sum are exact, so the products are the
+ones the dense tables gave. The dense diagonal is written into its output
+array: the pair product in place, the field product as one state-sized
+temporary added into it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qeopt.encoding import EncodingScheme
+from qeopt.encoding import EncodingScheme, pattern_spins
 from qeopt.problem import SKInstance
 from qeopt.simulator import DiagonalOperator, Statevector
 
@@ -101,20 +102,16 @@ class SplitTables(NamedTuple):
     pair_signs: np.ndarray
 
 
-def _spin_rows(patterns: np.ndarray, d: int) -> np.ndarray:
-    """(len(patterns), d) float64 spins +-1.0 of the d-bit data patterns."""
-    shifts = np.arange(d - 1, -1, -1)
-    return (1 - 2 * ((patterns[:, None] >> shifts) & 1)).astype(np.float64)
-
-
 @cache
 def pair_product_table(d: int) -> SplitTables:
-    """The split spin and pair-product tables of group size d, built from
-    bit arithmetic and cached per d."""
+    """The split spin and pair-product tables of group size d, decoded by
+    ``pattern_spins`` and cached per d."""
     lo = min(d, SPLIT_BITS)
     a, b = _pair_columns(d)
     tables = []
-    for spins in (_spin_rows(np.arange(1 << lo), d), _spin_rows(np.arange(1 << (d - lo)) << lo, d)):
+    # the template's patterns have high bits 0, the signs' low bits 0
+    for patterns in (np.arange(1 << lo), np.arange(1 << (d - lo)) << lo):
+        spins = pattern_spins(patterns, d)
         # written into C order: the gathered operands are column-major
         pairs = np.multiply(spins[:, a], spins[:, b], out=np.empty((len(spins), a.size)))
         tables += [spins, pairs]
@@ -130,11 +127,13 @@ def exact_evaluation_bytes(scheme: EncodingScheme) -> int:
     tables of ``pair_product_table(d)`` and the instance's two N x N float64
     tables, ``weights`` and ``sym_weights``.
 
-    The appended-layer grid holds the most: the start's final state, its
-    separator, the reused phased and mixed states and the probabilities, 64
-    bytes per amplitude. An exact 2x2 landscape and a p=2 run grew the peak
-    by 65-78 per amplitude beyond the rest, at q = 18..22 (d = 12 and 16);
-    88 keeps a margin over that.
+    The appended-layer grid holds the most, 64 bytes per amplitude: the
+    start's final state, its separator, the reused phased and mixed states
+    and the probabilities. Building the start's separator on its first read
+    in the grid holds as much: the three states, the separator and the
+    field product's temporary (``build_cost_hamiltonian``). An exact 2x2
+    landscape and a p=2 run grew the peak by 65-78 per amplitude beyond the
+    rest, at q = 18..22 (d = 12 and 16); 88 keeps a margin over that.
     """
     d, n = scheme.group_size, scheme.n_vars
     lo = min(d, SPLIT_BITS)
@@ -146,8 +145,6 @@ def exact_evaluation_bytes(scheme: EncodingScheme) -> int:
 def _signed_block_sums(blocks: np.ndarray, signs: np.ndarray, n_groups: int) -> np.ndarray:
     """Per label, the sum over high patterns hi of signs[hi] * blocks[label, hi];
     ``blocks`` holds the (label, high pattern) rows of a template product."""
-    if len(signs) == 1:  # d <= SPLIT_BITS: the signs are ones, the sum one block
-        return blocks
     blocks = blocks.reshape(n_groups, len(signs), signs.shape[1])
     return np.multiply(blocks, signs, out=blocks).sum(axis=1)
 
@@ -318,7 +315,12 @@ def cost_hamiltonian_terms(
 def build_cost_hamiltonian(
     instance: SKInstance, scheme: EncodingScheme, stats: GroupStats
 ) -> DiagonalOperator:
-    """Materialize the state-dependent Hamiltonian as a dense diagonal."""
+    """Materialize the state-dependent Hamiltonian as a dense diagonal.
+
+    The pair product is written into the output; the field product is one
+    2**q float64 temporary, added into it. Both stay separate matmuls, so
+    the sums keep their order.
+    """
     intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
     tables = pair_product_table(scheme.group_size)
     labels, low = scheme.n_groups, len(tables.pair_template)

@@ -143,16 +143,16 @@ def brute_force_optimum(instance: SKInstance) -> OptimumRecord:
     winners: list[np.ndarray] = []
     half = 1 << (n - 1)
     chunk = 1 << 18
-    shifts = np.arange(n - 2, -1, -1, dtype=np.int64)
     for start in range(0, half, chunk):
         idx = np.arange(start, min(start + chunk, half), dtype=np.int64)
-        # z_0 = +1 fixed; remaining n-1 spins from the bits of idx, written
-        # 4096 rows at a time so the integer temporaries stay small
+        # z_0 = +1 fixed; remaining n-1 spins from the bits of idx, one
+        # column at a time, then 1 - 2 * bit in place (exact for bits 0, 1)
         z = np.empty((len(idx), n), dtype=np.float64)
         z[:, 0] = 1.0
-        for row in range(0, len(idx), 1 << 12):
-            bits = (idx[row:row + (1 << 12), None] >> shifts) & 1
-            z[row:row + (1 << 12), 1:] = 1.0 - 2.0 * bits
+        for col in range(1, n):
+            z[:, col] = (idx >> (n - 1 - col)) & 1
+        z[:, 1:] *= -2.0
+        z[:, 1:] += 1.0
         costs = np.einsum("bi,ij,bj->b", z, w, z, optimize=True)
         c_min = costs.min()
         if c_min < best:

@@ -1,9 +1,9 @@
 """Scalar reference for the encoding conventions, kept out of the package.
 
-The package decodes basis indices with the split spin tables of
-``estimator.pair_product_table`` (or with shifts) and reshapes by label; the
-tests check it against this variable-by-variable encoder and the dense spin
-table below.
+The package decodes data patterns with ``encoding.pattern_spins``, reads
+them through the split spin tables of ``estimator.pair_product_table`` and
+reshapes basis indices by label; the tests check it against this
+variable-by-variable encoder and the dense spin table below.
 """
 
 import numpy as np

@@ -6,7 +6,7 @@ from encoding_oracle import encode_target, spin_table, split_rows
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qeopt.encoding import make_scheme
+from qeopt.encoding import make_scheme, pattern_spins
 from qeopt.estimator import pair_product_table
 
 
@@ -178,11 +178,16 @@ def test_bit_packing_round_trip(d, bits):
 
 
 def test_spin_table_matches_scalar_decoding():
-    # the package's split tables rebuild the oracle's dense table, which
-    # decodes each pattern bit by bit (checked in full up to d = 6)
+    # the package's split tables, decoded by pattern_spins, rebuild the
+    # oracle's dense table, which decodes each pattern bit by bit (checked
+    # in full up to d = 6)
     for d in (1, 2, 3, 4, 5, 6, 12, 13, 16):
         table = spin_table(d)
         assert np.array_equal(package_spins(d), table)
         for pattern in range(min(1 << d, 64)):
             expected = [1 if (pattern >> (d - 1 - j)) & 1 == 0 else -1 for j in range(d)]
             assert table[pattern].tolist() == expected
+        # the package's one decoder, for one pattern (as rounding reads it)
+        for pattern in (0, (1 << d) - 1, (1 << d) // 3):
+            one = pattern_spins(pattern, d)
+            assert one.dtype == np.float64 and np.array_equal(one, table[pattern])
