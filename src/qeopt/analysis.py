@@ -127,7 +127,10 @@ class ShotNoiseResult:
     exact_cost: float
 
     def loglog_slope(self) -> float:
-        """Fitted decay exponent of the error against the shot budget."""
+        """Fitted decay exponent of the error against the shot budget; a budget
+        whose mean error is 0 (every estimate exact) has no logarithm."""
+        if np.any(self.mean_abs_error == 0):
+            raise ValueError("the loglog slope needs a nonzero mean error at every shot budget")
         xs = np.log10(np.asarray(self.shot_counts, dtype=float))
         ys = np.log10(self.mean_abs_error)
         slope, _ = np.polyfit(xs, ys, 1)

@@ -267,7 +267,9 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
     CSV columns: instance, n_vars, d, p, mode, shots (0 in exact mode), seed,
     cost, c_star, c_star_method, ratio, eval_count, rounded_cost,
     rounded_ratio, params (semicolon-joined beta,gamma,gamma_bias triples),
-    solution (+-1 string).
+    solution (+-1 string). eval_count counts the exact evaluations of the
+    last depth's search: the warm-start pin or the presearch, then
+    Nelder-Mead and the hops; not earlier depths or the appended-layer grids.
     """
     _fail_usage()
     out_path = _resolve_out(out, "solve.csv")
@@ -457,6 +459,7 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
     study = ana.shot_noise_study(inst, scheme, layers, counts, replicas=replicas, seed=seed)
     if study.exact_cost == 0:
         raise RuntimeFailure("relative error needs a nonzero exact cost, got 0")
+    slope = study.loglog_slope()
     rows = [
         [n, err, se, err / abs(study.exact_cost), study.exact_cost]
         for n, err, se in zip(study.shot_counts, study.mean_abs_error, study.stderr)
@@ -466,7 +469,7 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
         rows,
     )
     _emit([instance_path], out_path)
-    click.echo(f"wrote {out_path} (loglog slope {study.loglog_slope():.3f})")
+    click.echo(f"wrote {out_path} (loglog slope {slope:.3f})")
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +498,8 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     (d1/d0)(N0/N1)^(3/2) when target sizes differ).
 
     CSV columns: instance, n_vars, d, p (the layers used), cost, c_star,
-    c_star_method, ratio, donor_ratio, params.
+    c_star_method, ratio, donor_ratio, params. donor_ratio is nan when the
+    layers come from --donor-params, with no donor search.
     """
     _fail_usage()
     layers = tuple(_parse_params(donor_params)) if donor_params else None

@@ -10,6 +10,9 @@ problem sizes.
 The one local search, ``_nelder_mead``, repeats the float steps of SciPy
 1.17's bounded Nelder-Mead for the options used here; the lock-step test in
 ``tests/test_optimizer.py`` compares every evaluated point with SciPy's.
+Both searches, ``optimize`` and ``optimize_gamma_scale``, keep their books in
+one record, ``_Evaluations``: each point is run once and counted at every
+call, and the first point of lowest cost is the result.
 """
 
 from __future__ import annotations
@@ -58,24 +61,50 @@ def gamma_scale_hint(scheme: EncodingScheme) -> float:
     return min(math.pi / 2, 4.0 * d / n**1.5)
 
 
+class _Evaluations:
+    """The record of one search's exact evaluations.
+
+    ``layers(x)`` maps a point to its ``LayerParams``. Every point runs once,
+    continuing the zero-layer trace ``start``; a point asked for again is
+    served from ``costs`` (keyed by its Python floats, so +0.0 and -0.0 are
+    one point) and still counted in ``eval_count``, as SciPy's nfev counts
+    it. ``best_x`` and ``best_cost`` hold the first point of lowest cost.
+    """
+
+    def __init__(self, instance, scheme, layers):
+        self.instance = instance
+        self.scheme = scheme
+        self.layers = layers
+        self.start = run_ansatz(instance, scheme, [])
+        self.eval_count = 0
+        self.costs: dict[tuple[float, ...], float] = {}
+        self.best_x: np.ndarray | None = None
+        self.best_cost = math.inf
+
+    def __call__(self, x: np.ndarray) -> float:
+        self.eval_count += 1
+        key = tuple(x.tolist())
+        if key not in self.costs:
+            trace = run_ansatz(self.instance, self.scheme, self.layers(x), mode="exact",
+                               start=self.start)
+            self.costs[key] = trace.final_cost
+            if trace.final_cost < self.best_cost:
+                self.best_cost = trace.final_cost
+                self.best_x = np.array(x, dtype=np.float64)
+        return self.costs[key]
+
+
 class _CostFunction:
-    """Flattened-parameter view of the exact-mode ansatz cost.
+    """Flattened-parameter layout of the exact-mode ansatz cost.
 
     The layers form a (p, 3) array of (beta, gamma, gamma') rows; the search
     sees its first ``width`` columns row by row, so a frozen gamma' (width 2)
-    stays at the initial guess, or 0. Every evaluation continues one
-    zero-layer trace, ``start``.
+    stays at the initial guess, or 0.
     """
 
-    def __init__(self, instance, scheme, p, config):
-        self.instance = instance
+    def __init__(self, scheme, p, config):
         self.scheme = scheme
-        self.start = run_ansatz(instance, scheme, [])
         self.p = p
-        self.config = config
-        self.eval_count = 0
-        self.best_x: np.ndarray | None = None
-        self.best_cost = math.inf
         self.width = 2 if config.freeze_gamma_bias else 3
         self.n_params = self.width * p
         self.layers = np.zeros((p, 3))
@@ -101,20 +130,6 @@ class _CostFunction:
     def hop_scales(self) -> np.ndarray:
         gamma = max(0.5 * gamma_scale_hint(self.scheme), 1e-3)
         return np.tile((0.3, gamma, 0.3)[: self.width], self.p)
-
-    def __call__(self, x: np.ndarray) -> float:
-        self.eval_count += 1
-        # the incumbent again (a cold search's first vertex is the presearch
-        # winner): served from its cost, counted as SciPy's nfev counts it
-        if self.best_x is not None and np.array_equal(x, self.best_x):
-            return self.best_cost
-        trace = run_ansatz(self.instance, self.scheme, self.unpack(np.asarray(x)), mode="exact",
-                           start=self.start)
-        cost = trace.final_cost
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_x = np.array(x, dtype=np.float64)
-        return cost
 
 
 class _BudgetSpent(Exception):
@@ -193,15 +208,15 @@ def _nelder_mead(func, x0: np.ndarray, lb: np.ndarray, ub: np.ndarray, maxfev: i
         sim, fsim = by_value(sim, fsim)
 
 
-def _presearch(fn: _CostFunction) -> np.ndarray:
+def _presearch(layout: _CostFunction, fn: _Evaluations) -> np.ndarray:
     """Coarse deterministic grid of repeated layers to seed the first local
     search: the first lowest cost in (beta, gamma, gamma') order wins."""
-    hint = gamma_scale_hint(fn.scheme)
+    hint = gamma_scale_hint(layout.scheme)
     betas = np.concatenate([[0.1, 0.2], np.linspace(0.0, math.pi, 9)[1:-1]])
     gammas = np.concatenate([[0.0], hint * np.array([-2, -1, -0.5, -0.25, 0.25, 0.5, 1, 2])])
-    biases = [0.0] if fn.width == 2 else [-0.8, -0.4, 0.0, 0.4, 0.8]
+    biases = [0.0] if layout.width == 2 else [-0.8, -0.4, 0.0, 0.4, 0.8]
     for beta, gamma, bias in itertools.product(betas, gammas, biases):
-        fn(fn.pack([LayerParams(beta, gamma, bias)] * fn.p))
+        fn(layout.pack([LayerParams(beta, gamma, bias)] * layout.p))
     return fn.best_x.copy()
 
 
@@ -217,29 +232,30 @@ def optimize(
     config = config or OptimizerConfig()
     if config.initial is not None and len(config.initial) != p:
         raise ValueError(f"initial guess has {len(config.initial)} layers, need {p}")
-    fn = _CostFunction(instance, scheme, p, config)
+    layout = _CostFunction(scheme, p, config)
+    fn = _Evaluations(instance, scheme, layout.unpack)
 
     if config.initial is not None:
-        x_raw = fn.pack(list(config.initial))
+        x_raw = layout.pack(list(config.initial))
         fn(x_raw)  # pin the warm-start cost so the result can never be worse
-        x0 = fn.wrap(x_raw)
+        x0 = layout.wrap(x_raw)
     else:
-        x0 = _presearch(fn)
+        x0 = _presearch(layout, fn)
 
     rng = stream(config.seed, "hops")
     if config.max_local_evals > 1:
-        _nelder_mead(fn, x0, *fn.box, config.max_local_evals)
+        _nelder_mead(fn, x0, *layout.box, config.max_local_evals)
     history = [fn.best_cost]
-    scales = fn.hop_scales()
+    scales = layout.hop_scales()
     for _ in range(config.n_hops):
-        candidate = fn.wrap(fn.best_x + scales * rng.standard_normal(fn.n_params))
+        candidate = layout.wrap(fn.best_x + scales * rng.standard_normal(layout.n_params))
         before = fn.best_cost
-        _nelder_mead(fn, candidate, *fn.box, config.max_local_evals)
+        _nelder_mead(fn, candidate, *layout.box, config.max_local_evals)
         if fn.best_cost < before:
             history.append(fn.best_cost)
 
     return OptimResult(
-        best_params=tuple(fn.unpack(fn.best_x)),
+        best_params=tuple(layout.unpack(fn.best_x)),
         best_cost=fn.best_cost,
         eval_count=fn.eval_count,
         history=tuple(history),
@@ -317,29 +333,12 @@ def optimize_gamma_scale(
     is the lowest-cost theta evaluated; the first one found wins a tie.
     """
     scan = np.geomspace(0.02, 50.0, 81)
-    start = run_ansatz(instance, scheme, [])
-
-    def cost_at(theta: float) -> float:
-        scaled = [LayerParams(lp.beta, theta * lp.gamma, lp.gamma_bias) for lp in donor_params]
-        return run_ansatz(instance, scheme, scaled, mode="exact", start=start).final_cost
-
-    values = np.array([cost_at(t) for t in scan])
-    k = int(np.argmin(values))
-    best = [values[k], float(scan[k])]
-    known = dict(zip(scan.tolist(), values.tolist()))
-
-    def refine(x: np.ndarray) -> float:
-        theta = float(x[0])
-        if theta not in known:
-            known[theta] = cost_at(theta)
-        cost = known[theta]
-        if cost < best[0]:
-            best[:] = cost, theta
-        return cost
-
+    fn = _Evaluations(instance, scheme, lambda x: [
+        LayerParams(lp.beta, x[0] * lp.gamma, lp.gamma_bias) for lp in donor_params])
+    k = int(np.argmin([fn(theta) for theta in scan[:, None]]))
     bracket = scan[[max(0, k - 1)]], scan[[min(len(scan) - 1, k + 1)]]
-    _nelder_mead(refine, scan[[k]], *bracket, OptimizerConfig().max_local_evals)
-    return best[1]
+    _nelder_mead(fn, scan[[k]], *bracket, OptimizerConfig().max_local_evals)
+    return float(fn.best_x[0])
 
 
 @dataclass(frozen=True)

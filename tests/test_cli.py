@@ -569,6 +569,21 @@ class TestShotsCmd:
         assert one_error_line(result) and "nonzero exact cost" in result.output
         assert not out.exists()
 
+    def test_zero_mean_error_exits_3(self, runner, tmp_path):
+        # a parity eigenstate: every shot estimate is exact, so the loglog
+        # slope of the mean error has no logarithm to take
+        inst = tmp_path / "inst.txt"
+        write_instance(SKInstance(2, np.array([[0.0, -1.0], [0.0, 0.0]]), "pm1", 0), inst)
+        out = tmp_path / "shots.csv"
+        result = runner.invoke(main, [
+            "shots", "--instance", str(inst), "--d", "2",
+            "--params", "0.39269908169872414,0.7853981633974483,0",
+            "--shot-counts", "100,1000", "--replicas", "3", "--out", str(out),
+        ])
+        assert result.exit_code == 3, result.output
+        assert one_error_line(result) and "nonzero mean error" in result.output
+        assert not out.exists()
+
 
 # sha256 of `compile-check --n 4 --d 2 --fixture-n4` at the default angles
 FIXTURE_LISTING_SHA256 = "c5df758903c698fe93a898b33e85410103e0dd22d85c7765e57ac07277aaf06a"

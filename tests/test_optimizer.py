@@ -83,24 +83,37 @@ class TestOptimize:
         assert sorted(sched) == [1, 2]
         assert not hasattr(optimizer, "ground_truth")
 
-    @pytest.mark.parametrize("frozen", [False, True], ids=["free", "frozen"])
-    def test_cold_search_runs_no_point_twice(self, monkeypatch, frozen):
-        # the first Nelder-Mead vertex is the presearch winner; it is served
-        # from its cost but still counted, as SciPy's nfev counts it
-        scheme = make_scheme(16, 4)
-        inst = generate_sk(16, "pm1", seed=2)
-        runs = []
+    @pytest.mark.parametrize("shape, inst_seed, p, config", [
+        ((16, 4), 2, 2, OptimizerConfig(n_hops=1, max_local_evals=40, seed=3)),
+        ((16, 4), 2, 2, OptimizerConfig(n_hops=1, max_local_evals=40, freeze_gamma_bias=True,
+                                        seed=3)),
+        # Nelder-Mead revisits a point that is not the incumbent
+        ((8, 2), 0, 1, OptimizerConfig(n_hops=2, max_local_evals=60, seed=0)),
+    ], ids=["free", "frozen", "8x2-revisit"])
+    def test_cold_search_runs_no_point_twice(self, monkeypatch, shape, inst_seed, p, config):
+        # a point asked for again (the first Nelder-Mead vertex is the
+        # presearch winner) is served from its cost but still counted, as
+        # SciPy's nfev counts it
+        scheme = make_scheme(*shape)
+        inst = generate_sk(shape[0], "pm1", seed=inst_seed)
+        runs, asked = [], []
 
         def counted(instance, scheme, params, **kwargs):
             runs.append(tuple(params))
             return run_ansatz(instance, scheme, params, **kwargs)
 
+        def recorded(fn, x, call=optimizer._Evaluations.__call__):
+            asked.append(tuple(x))
+            return call(fn, x)
+
         monkeypatch.setattr(optimizer, "run_ansatz", counted)
-        config = OptimizerConfig(n_hops=1, max_local_evals=40, freeze_gamma_bias=frozen, seed=3)
-        result = optimize(inst, scheme, 2, config)
+        monkeypatch.setattr(optimizer._Evaluations, "__call__", recorded)
+        result = optimize(inst, scheme, p, config)
         evaluated = [params for params in runs if params]
-        assert len(set(evaluated)) == len(evaluated)
-        assert result.eval_count == len(evaluated) + 1
+        assert len(set(evaluated)) == len(evaluated) == len(set(asked))
+        served_again = len(asked) - len(set(asked))
+        assert served_again >= 1
+        assert result.eval_count == len(evaluated) + served_again
 
 
 class TestTransfer:
@@ -210,9 +223,9 @@ class TestNelderMeadBox:
         # a value a hair below a lower bound wraps onto the upper bound, which
         # is still in the closed box that Nelder-Mead is given
         config = OptimizerConfig(freeze_gamma_bias=frozen)
-        fn = optimizer._CostFunction(generate_sk(4, "pm1", seed=0), make_scheme(4, 2), 2, config)
-        x = fn.wrap(np.array(values[: fn.n_params]))
-        lb, ub = fn.box
+        layout = optimizer._CostFunction(make_scheme(4, 2), 2, config)
+        x = layout.wrap(np.array(values[: layout.n_params]))
+        lb, ub = layout.box
         assert np.all(lb <= x) and np.all(x <= ub)
 
 
@@ -473,7 +486,7 @@ class TestAgreementWithStrideLayout:
         initial = tuple(LayerParams(*v) for v in rng.uniform(-1, 1, (p, 3)))
         for config in (OptimizerConfig(freeze_gamma_bias=frozen),
                        OptimizerConfig(freeze_gamma_bias=frozen, initial=initial)):
-            new = optimizer._CostFunction(inst, scheme, p, config)
+            new = optimizer._CostFunction(scheme, p, config)
             old = _StrideCostFunction(inst, scheme, p, config)
             assert new.n_params == old.n_params
             layers = [LayerParams(*v) for v in rng.uniform(-4, 4, (p, 3))]
@@ -489,9 +502,10 @@ class TestAgreementWithStrideLayout:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_grid_searches(self, n4_instance, n4_scheme, p, frozen):
         config = OptimizerConfig(freeze_gamma_bias=frozen)
-        new = optimizer._CostFunction(n4_instance, n4_scheme, p, config)
+        layout = optimizer._CostFunction(n4_scheme, p, config)
+        new = optimizer._Evaluations(n4_instance, n4_scheme, layout.unpack)
         old = _StrideCostFunction(n4_instance, n4_scheme, p, config)
-        assert np.array_equal(optimizer._presearch(new), _stride_presearch(old))
+        assert np.array_equal(optimizer._presearch(layout, new), _stride_presearch(old))
         assert (new.eval_count, new.best_cost) == (old.eval_count, old.best_cost)
         assert np.array_equal(new.best_x, old.best_x)
         prev = tuple(LayerParams(0.3 * k, 0.2, -0.1 * k) for k in range(1, p))

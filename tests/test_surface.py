@@ -6,6 +6,9 @@ or ``bench/``. A name only the tests read is surface without a program use.
 Click commands are registered by their decorator and are not checked.
 A private module-level function must be read by the code of ``src/qeopt``.
 A function behind a ``functools.cache`` wrapper is checked as a function.
+An attribute that a package class stores on ``self``, or a field that a
+package dataclass declares, must be read as an attribute by the code of
+``src/qeopt``, ``scripts/`` or ``bench/``.
 Reading means a name or an attribute in the code: a call or a reference.
 A definition, an import, a docstring or a comment does not count, so a
 helper whose last caller has gone is dead code.
@@ -26,6 +29,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # The paper's gamma-scaling experiment (acceptance criterion 11): no command
 # runs it yet, and no other code does that job.
 ALLOWED = {"optimize_gamma_scale", "fit_gamma_scaling"}
+
+# Records read whole (``asdict`` writes the manifest file) or read only by the
+# acceptance criteria: the gamma-scaling fit (11) and the minimizers (1).
+ALLOWED_RECORDS = {"RunManifest", "ScalingFit"}
+ALLOWED_ATTRIBUTES = {("OptimumRecord", "minimizers")}
 
 
 def defined_here(module, obj):
@@ -62,17 +70,57 @@ def code_identifiers(files):
 
 
 PACKAGE_FILES = sorted((ROOT / "src" / "qeopt").glob("*.py"))
+PROGRAM_FILES = (PACKAGE_FILES + sorted((ROOT / "scripts").rglob("*.py"))
+                 + sorted((ROOT / "bench").rglob("*.py")))
+
+
+def is_dataclass_def(node):
+    return any(isinstance(dec, ast.Name) and dec.id == "dataclass"
+               or isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "dataclass"
+               for dec in node.decorator_list)
+
+
+def stored_attributes():
+    """(class, attribute) for every ``self.x`` store and dataclass field in the package."""
+    for path in PACKAGE_FILES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if is_dataclass_def(cls):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield cls.name, stmt.target.id
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    yield cls.name, node.attr
+
+
+def loaded_attributes(files):
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr
 
 
 def test_every_public_name_has_a_program_reader():
-    files = PACKAGE_FILES + sorted((ROOT / "scripts").rglob("*.py"))
-    files += sorted((ROOT / "bench").rglob("*.py"))
-    orphans = sorted(set(public_names()) - ALLOWED - set(code_identifiers(files)))
+    orphans = sorted(set(public_names()) - ALLOWED - set(code_identifiers(PROGRAM_FILES)))
     assert not orphans, f"public names read only by tests: {orphans}"
 
 
 def test_allowed_names_still_exist():
     assert ALLOWED <= set(public_names())
+    stored = set(stored_attributes())
+    assert ALLOWED_RECORDS <= {cls for cls, _ in stored}
+    assert ALLOWED_ATTRIBUTES <= stored
+
+
+def test_every_stored_attribute_has_a_program_reader():
+    read = set(loaded_attributes(PROGRAM_FILES))
+    orphans = sorted((cls, attr) for cls, attr in set(stored_attributes())
+                     if cls not in ALLOWED_RECORDS and (cls, attr) not in ALLOWED_ATTRIBUTES
+                     and attr not in read)
+    assert not orphans, f"attributes no program code reads: {orphans}"
 
 
 def test_every_private_function_has_a_caller_in_the_package():
