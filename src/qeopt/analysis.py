@@ -43,31 +43,20 @@ class BaselineTable:
                 raise ValueError(f"r*(p={p}) must be in (0, 1], got {r}")
 
 
-def data_entropy(scheme: EncodingScheme, spins: np.ndarray, lambdas: np.ndarray | None = None) -> float:
-    """Entanglement entropy (bits) of the data register for an encoded string.
+def data_entropy(scheme: EncodingScheme, spins: np.ndarray) -> float:
+    """Entanglement entropy (bits) of the data register for an encoded string
+    with uniform group amplitudes.
 
     Equal group patterns merge in the reduced state, so the entropy is
-    -sum q_k log2 q_k over the merged |lambda|^2 weights. Never exceeds
-    min(d, log2(N/d)).
+    -sum q_k log2 q_k over the pattern frequencies q_k = count_k / (N/d),
+    exact since N/d is a power of two. Never exceeds min(d, log2(N/d)).
     """
     spins = np.asarray(spins)
     if spins.shape != (scheme.n_vars,):
         raise ValueError(f"expected {scheme.n_vars} spins, got {spins.shape}")
-    if lambdas is None:
-        weights = np.full(scheme.n_groups, 1.0 / scheme.n_groups)
-    else:
-        lambdas = np.asarray(lambdas)
-        if lambdas.shape != (scheme.n_groups,):
-            raise ValueError(f"expected {scheme.n_groups} amplitudes, got {lambdas.shape}")
-        weights = np.abs(lambdas) ** 2
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("group amplitudes must be normalized")
-
     patterns = (spins < 0).reshape(scheme.n_groups, scheme.group_size)
-    packed = np.packbits(patterns, axis=1)
-    _, inverse = np.unique(packed, axis=0, return_inverse=True)
-    merged = np.bincount(inverse, weights=weights)
-    merged = merged[merged > 0]
+    _, counts = np.unique(np.packbits(patterns, axis=1), axis=0, return_counts=True)
+    merged = counts / scheme.n_groups
     return float(-np.sum(merged * np.log2(merged)))
 
 
@@ -77,8 +66,8 @@ def entropy_profile(
     n_samples: int = 100,
     seed: int = 0,
 ) -> np.ndarray:
-    """Mean data entropy (bits) over uniformly random strings, uniform
-    lambdas: one entry per group size."""
+    """Mean data entropy (bits) over uniformly random strings: one entry per
+    group size."""
     means = []
     for d in group_sizes:
         scheme = make_scheme(n_vars, d)

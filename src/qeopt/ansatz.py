@@ -27,7 +27,6 @@ landscape and the optimizer's appended-layer grid -- goes through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,11 +51,6 @@ class LayerParams:
     beta: float
     gamma: float
     gamma_bias: float = 0.0
-
-    def __post_init__(self):
-        for v in (self.beta, self.gamma, self.gamma_bias):
-            if not math.isfinite(v):
-                raise ValueError(f"layer parameters must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -197,8 +191,6 @@ def appended_layer_grid(
     copied into a second reused state.
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (betas, gammas, biases)]
-    if not all(np.all(np.isfinite(a)) for a in axes):
-        raise ValueError("layer parameters must be finite")
     if start.final_state is None:
         raise ValueError("a shot trace has no state to continue from")
     betas, gammas, biases = axes

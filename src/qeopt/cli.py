@@ -22,7 +22,7 @@ from qeopt import analysis as ana
 from qeopt import optimizer as opt
 from qeopt import runfiles
 from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
-from qeopt.compiler import compile_layer, dumps
+from qeopt.compiler import _check_verifiable, compile_layer, dumps
 from qeopt.encoding import is_pow2_multiple, make_scheme
 from qeopt.estimator import exact_evaluation_bytes, exact_group_stats
 from qeopt.problem import (WEIGHT_KINDS, approximation_ratio, example_instance_n4, generate_sk,
@@ -95,10 +95,9 @@ def _emit(inputs: list[str], out_path: Path) -> None:
     runfiles.write_manifest(manifest, out_path)
 
 
-def _load_instance(path: str, d: int, allow_padding: bool):
+def _load_instance(path: str, d: int):
     inst = runfiles.read_instance(path)
-    scheme = make_scheme(inst.n_vars, d, allow_padding=allow_padding)
-    return pad_instance(inst, scheme.n_vars), scheme
+    return inst, make_scheme(inst.n_vars, d)
 
 
 def _memory_limit() -> int:
@@ -258,7 +257,8 @@ def generate(n, kind, count, seed, fixture_n4, out):
 @click.option("--freeze-gamma-bias", is_flag=True, help="Pin gamma' = 0 during optimization.")
 @click.option("--warm-start/--no-warm-start", default=True, show_default=True,
               help="Optimize p = 1..p with layerwise seeding.")
-@click.option("--allow-padding", is_flag=True, help="Pad N up to the nearest d * 2^k.")
+@click.option("--allow-padding", is_flag=True, help="Pad N with zero weights up to the next "
+              "d * 2^k; C* is taken on the instance as given, the n_vars column is N padded.")
 @click.option("--out", type=str, default=None, help="Result CSV [default: results/solve.csv].")
 def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamma_bias,
           warm_start, allow_padding, out):
@@ -273,7 +273,9 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
     """
     _fail_usage()
     out_path = _resolve_out(out, "solve.csv")
-    inst, scheme = _load_instance(instance_path, d, allow_padding)
+    inst = runfiles.read_instance(instance_path)
+    encoded = pad_instance(inst, d) if allow_padding else inst
+    scheme = make_scheme(encoded.n_vars, d)
     _check_memory(scheme)
     record = ground_truth(inst, seed=seed)
     config = opt.OptimizerConfig(
@@ -281,18 +283,17 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         freeze_gamma_bias=freeze_gamma_bias, seed=seed,
     )
     if warm_start:
-        result = opt.warm_start_schedule(inst, scheme, p, config)[p]
+        result = opt.warm_start_schedule(encoded, scheme, p, config)[p]
     else:
-        result = opt.optimize(inst, scheme, p, config)
-    trace = run_ansatz(inst, scheme, list(result.best_params), mode=mode,
+        result = opt.optimize(encoded, scheme, p, config)
+    trace = run_ansatz(encoded, scheme, list(result.best_params), mode=mode,
                        n_shots=shots, seed=seed)
     solution, rounded_cost = extract_solution(trace, seed=seed)
     ratio = approximation_ratio(trace.final_cost, record.best_cost)
-    n_raw = scheme.n_vars_raw or scheme.n_vars
-    solution = solution[:n_raw]
+    solution = solution[:inst.n_vars]
     row = [
-        Path(instance_path).name, inst.n_vars, d, p, mode, shots if mode == "shots" else 0, seed,
-        trace.final_cost, record.best_cost, record.method, ratio,
+        Path(instance_path).name, encoded.n_vars, d, p, mode, shots if mode == "shots" else 0,
+        seed, trace.final_cost, record.best_cost, record.method, ratio,
         result.eval_count, rounded_cost, approximation_ratio(rounded_cost, record.best_cost),
         _params_text(result.best_params), "".join("+" if v > 0 else "-" for v in solution),
     ]
@@ -337,7 +338,7 @@ def landscape_cmd(instance_path, d, beta_steps, gamma_steps, gamma_bias, mode, s
     out_path = _resolve_out(out, "landscape.csv")
     betas = np.linspace(0.0, math.pi, beta_steps)
     gammas = np.linspace(-math.pi, math.pi, gamma_steps)
-    inst, scheme = _load_instance(instance_path, d, allow_padding=False)
+    inst, scheme = _load_instance(instance_path, d)
     n_blocks = min(jobs, beta_steps)
     _check_memory(scheme, n_blocks)
     grid = dict(instance=inst, scheme=scheme, gammas=gammas, gamma_bias=gamma_bias,
@@ -415,7 +416,7 @@ def baseline(instance_paths, d, r_star, seed, out):
               "baseline_ratio"] + [f"asymptotic_ratio_p{p}" for p in sorted(table)]
     rows = []
     for path in instance_paths:
-        inst, scheme = _load_instance(path, d, allow_padding=False)
+        inst, scheme = _load_instance(path, d)
         dec = ana.decomposed_baseline_exact(inst, scheme)
         record = ground_truth(inst, seed=seed)
         row = [Path(path).name, inst.n_vars, d, dec, record.best_cost, record.method,
@@ -454,7 +455,7 @@ def shots(instance_path, d, params, shot_counts, replicas, seed, out):
         problems.append("--shot-counts needs at least two distinct budgets for the slope")
     _fail_usage(problems)
     out_path = _resolve_out(out, "shots.csv")
-    inst, scheme = _load_instance(instance_path, d, allow_padding=False)
+    inst, scheme = _load_instance(instance_path, d)
     _check_memory(scheme)
     study = ana.shot_noise_study(inst, scheme, layers, counts, replicas=replicas, seed=seed)
     if study.exact_cost == 0:
@@ -504,8 +505,8 @@ def transfer(donor_instance, target_paths, d, p, donor_params, seed, hops, jobs,
     _fail_usage()
     layers = tuple(_parse_params(donor_params)) if donor_params else None
     out_path = _resolve_out(out, "transfer.csv")
-    donor_inst, donor_scheme = _load_instance(donor_instance, d, allow_padding=False)
-    targets = [_load_instance(path, d, allow_padding=False) for path in target_paths]
+    donor_inst, donor_scheme = _load_instance(donor_instance, d)
+    targets = [_load_instance(path, d) for path in target_paths]
     _check_memory(max((scheme for _, scheme in targets), key=lambda scheme: scheme.dim),
                   min(jobs, len(targets)))
     if layers is not None:
@@ -561,8 +562,9 @@ def compile_check(n, d, beta, gamma, gamma_bias, seed, fixture_n4, out):
         problems.append("--fixture-n4 needs --n 4")
     _fail_usage(problems)
     out_path = _resolve_out(out, "compiled_layer.txt")
-    inst = example_instance_n4() if fixture_n4 else generate_sk(n, "pm1", seed=seed)
     scheme = make_scheme(n, d)
+    _check_verifiable(scheme.n_qubits)  # before the instance is drawn
+    inst = example_instance_n4() if fixture_n4 else generate_sk(n, "pm1", seed=seed)
     stats = exact_group_stats(scheme, init_plus(scheme.n_qubits))
     native, deviation = compile_layer(inst, scheme, stats, LayerParams(beta, gamma, gamma_bias))
     out_path.write_text(dumps(native))

@@ -29,7 +29,6 @@ class EncodingScheme:
 
     n_vars: int
     group_size: int
-    n_vars_raw: int | None = None  # pre-padding variable count, if padded
 
     @property
     def n_groups(self) -> int:
@@ -55,38 +54,18 @@ def pattern_spins(patterns, d: int) -> np.ndarray:
     return (1 - 2 * ((np.asarray(patterns)[..., None] >> shifts) & 1)).astype(np.float64)
 
 
-def make_scheme(n_vars: int, group_size: int, allow_padding: bool = False) -> EncodingScheme:
-    """Build a scheme for N variables in groups of d.
-
-    N/d must be an exact power of two; with ``allow_padding`` N is raised to
-    the smallest d * 2**k >= N and the dummy variables are flagged (they
-    carry zero weights downstream and are stripped from reported solutions).
-    """
+def make_scheme(n_vars: int, group_size: int) -> EncodingScheme:
+    """Build a scheme for N variables in groups of d; N/d must be an exact
+    power of two (``problem.pad_instance`` pads an instance that does not fit)."""
     if group_size < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
     if n_vars < 2:
         raise ValueError(f"need at least 2 variables, got {n_vars}")
     if group_size > n_vars:
         raise ValueError(f"group size {group_size} exceeds variable count {n_vars}")
-
-    d = group_size
-    padded_n = n_vars
-    if not is_pow2_multiple(n_vars, d):
-        if not allow_padding:
-            raise ValueError(
-                f"N/d must be a power of two: N={n_vars}, d={d} "
-                f"(pass allow_padding=True to pad with zero-weight variables)"
-            )
-        k = 0
-        while d << k < n_vars:
-            k += 1
-        padded_n = d << k
-
-    return EncodingScheme(
-        n_vars=padded_n,
-        group_size=d,
-        n_vars_raw=n_vars if padded_n != n_vars else None,
-    )
+    if not is_pow2_multiple(n_vars, group_size):
+        raise ValueError(f"N/d must be a power of two: N={n_vars}, d={group_size}")
+    return EncodingScheme(n_vars=n_vars, group_size=group_size)
 
 
 def is_pow2_multiple(n: int, d: int) -> bool:

@@ -101,10 +101,12 @@ def example_instance_n4() -> SKInstance:
     return SKInstance(n_vars=4, weights=w, weight_kind="pm1", seed=-1)
 
 
-def pad_instance(instance: SKInstance, n_vars: int) -> SKInstance:
-    """Extend an instance with zero-weight dummy variables up to n_vars."""
-    if n_vars < instance.n_vars:
-        raise ValueError("cannot pad to fewer variables")
+def pad_instance(instance: SKInstance, group_size: int) -> SKInstance:
+    """The instance with zero-weight dummy variables appended up to the
+    smallest N' = d * 2**k >= N (itself when N' = N); they change no cost."""
+    if group_size > instance.n_vars:
+        raise ValueError(f"group size {group_size} exceeds variable count {instance.n_vars}")
+    n_vars = group_size << (-(-instance.n_vars // group_size) - 1).bit_length()
     if n_vars == instance.n_vars:
         return instance
     w = np.zeros((n_vars, n_vars))

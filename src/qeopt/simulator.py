@@ -45,6 +45,7 @@ zeros included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,13 @@ from qeopt.rng import stream
 
 MAX_QUBITS = 26
 BLOCK_QUBITS = 14  # the mixer's cache block: 2**14 amplitudes, 256 KiB
+
+
+def _scaled_angle(name: str, value: float, scale: float) -> float:
+    """``scale * value`` in Python floats (no overflow warning), refused if not finite."""
+    if not math.isfinite(angle := scale * float(value)):
+        raise ValueError(f"angle {scale!r} * {name} is not finite at {name} = {float(value)!r}")
+    return angle
 
 
 @dataclass(frozen=True)
@@ -71,10 +79,12 @@ class DiagonalOperator:
         e = np.asarray(self.entries, dtype=np.float64)
         if e.shape != (1 << self.n_qubits,):
             raise ValueError(f"expected {1 << self.n_qubits} entries, got {e.shape}")
-        if not np.all(np.isfinite(e)):
+        largest = max(float(e.max()), -float(e.min()))  # max |entry|, or nan or inf
+        if not math.isfinite(largest):
             raise ValueError("diagonal entries must be finite")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "_largest", largest)
 
 
 class Statevector:
@@ -113,12 +123,12 @@ class Statevector:
 
     def apply_rx(self, qubit: int, theta: float) -> "Statevector":
         self._check_qubit(qubit)
-        self._rx_passes(range(qubit, qubit + 1), theta)
+        self._rx_passes(range(qubit, qubit + 1), _scaled_angle("theta", theta, 1.0))
         return self
 
     def apply_rz(self, qubit: int, phi: float) -> "Statevector":
         self._check_qubit(qubit)
-        self._rz_passes(range(qubit, qubit + 1), phi)
+        self._rz_passes(range(qubit, qubit + 1), _scaled_angle("phi", phi, 1.0))
         return self
 
     def apply_x(self, qubit: int) -> "Statevector":
@@ -155,6 +165,7 @@ class Statevector:
         gamma * entries into one reused complex block, then multiplied in
         place (see the module docstring for why this is exp's phase)."""
         self._check_diagonal(diag)
+        _scaled_angle("gamma", gamma, diag._largest)  # bounds |gamma * entry|
         size = min(self.dim, 1 << BLOCK_QUBITS)
         angle, phase = np.empty(size), np.empty(size, dtype=np.complex128)
         # the angle is the imaginary part of (1j * gamma) * (entry + 0j)
@@ -169,12 +180,12 @@ class Statevector:
 
     def apply_mixer(self, beta: float) -> "Statevector":
         """exp(i beta sum X_i) over all qubits: Rx(-2 beta) on qubits 0..q-1 in turn."""
-        self._rx_passes(range(self.n_qubits), -2.0 * beta)
+        self._rx_passes(range(self.n_qubits), _scaled_angle("beta", beta, -2.0))
         return self
 
     def apply_bias(self, gamma_bias: float) -> "Statevector":
         """exp(i gamma' sum Z_i) over all qubits: Rz(-2 gamma') on qubits 0..q-1 in turn."""
-        self._rz_passes(range(self.n_qubits), -2.0 * gamma_bias)
+        self._rz_passes(range(self.n_qubits), _scaled_angle("gamma'", gamma_bias, -2.0))
         return self
 
     def _rz_passes(self, qubits: range, phi: float) -> None:

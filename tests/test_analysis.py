@@ -30,19 +30,18 @@ class TestDataEntropy:
         assert data_entropy(scheme, z) == pytest.approx(np.log2(4))
 
     def test_matches_statevector_reduced_density_matrix(self):
-        # oracle: rho_data from the dense encoded state, eigenvalue entropy
-        scheme = make_scheme(8, 2)
+        # oracle: rho_data from the dense encoded state (uniform group
+        # amplitudes, as the package encodes), eigenvalue entropy
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            z = rng.choice([-1, 1], size=8)
-            lam = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            lam /= np.linalg.norm(lam)
-            amps = encode_target(scheme, z, lam).reshape(4, 4)  # label x data
+        for n, d in [(8, 2)] * 10 + [(16, 2), (32, 4), (16, 1)]:
+            scheme = make_scheme(n, d)
+            z = rng.choice([-1, 1], size=n)
+            amps = encode_target(scheme, z).reshape(scheme.n_groups, 1 << d)  # label x data
             rho = amps.conj().T @ amps
             eigs = np.linalg.eigvalsh(rho)
             eigs = eigs[eigs > 1e-14]
             expected = float(-np.sum(eigs * np.log2(eigs)))
-            assert data_entropy(scheme, z, lam) == pytest.approx(expected, abs=1e-10)
+            assert data_entropy(scheme, z) == pytest.approx(expected, abs=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,31 @@ class TestSolve:
         (values,) = read_rows(out)
         assert len(values["solution"]) == 12
         assert values["n_vars"] == "16"
+
+    def test_padded_c_star_is_taken_on_the_instance_as_given(self, runner, tmp_path):
+        # 20 variables at d=8 pad to 32, past brute force; the 20 given are not
+        result = runner.invoke(main, ["generate", "--n", "20", "--count", "1", "--seed", "3",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "res.csv"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(tmp_path / "sk_n20_pm1_000.txt"), "--d", "8", "--p", "1",
+            "--hops", "0", "--local-evals", "5", "--allow-padding", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        (values,) = read_rows(out)
+        assert (values["c_star"], values["c_star_method"]) == ("-56", "brute_force")
+        assert values["n_vars"] == "32" and len(values["solution"]) == 20
+
+    def test_padding_refuses_group_size_above_n(self, runner, tmp_path):
+        inst_path = tmp_path / "n12.txt"
+        write_instance(generate_sk(12, "pm1", seed=2), inst_path)
+        result = runner.invoke(main, [
+            "solve", "--instance", str(inst_path), "--d", "16", "--allow-padding",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert result.exit_code == 3
+        assert "group size 16 exceeds variable count 12" in result.output
 
     def test_padding_required_without_flag(self, runner, tmp_path):
         inst_path = tmp_path / "n12.txt"
@@ -627,13 +653,19 @@ class TestCompileCheckCmd:
             assert "iswap=8, depth=42" in result.output
             assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXTURE_LISTING_SHA256
 
-    def test_register_over_the_verification_cap_exits_3(self, runner, tmp_path):
-        # N=24, d=12: q = 13 > VERIFY_QUBIT_CAP, refused before the reference is built
-        result = runner.invoke(main, [
-            "compile-check", "--n", "24", "--d", "12", "--out", str(tmp_path / "c.txt"),
-        ])
-        assert result.exit_code == 3
-        assert "capped" in result.output
+    def test_register_over_the_verification_cap_exits_3(self, runner, tmp_path, monkeypatch):
+        # q = 13 > VERIFY_QUBIT_CAP, refused before the instance is drawn: at
+        # N=4096 that draw alone would hold two 134 MB weight tables
+        def no_draw(*args, **kwargs):
+            raise AssertionError("instance drawn before the cap check")
+
+        monkeypatch.setattr(cli, "generate_sk", no_draw)
+        for n, d in (("24", "12"), ("4096", "2")):
+            result = runner.invoke(main, [
+                "compile-check", "--n", n, "--d", d, "--out", str(tmp_path / "c.txt"),
+            ])
+            assert result.exit_code == 3, result.output
+            assert "verification capped at 12 qubits, got 13" in result.output
 
 
 class TestTransferCmd:
@@ -1051,6 +1083,36 @@ def test_memory_limit_is_the_lower_of_ram_and_cgroup(monkeypatch, cgroup, want):
 
     monkeypatch.setattr(Path, "read_text", fake_read_text)
     assert cli._memory_limit() == want
+
+
+# a finite angle that overflows once a kernel scales it -> (argv given the
+# two instance files and the output path, the angle named)
+OVERFLOW_CASES = {
+    "landscape-bias": lambda a, b, out: (
+        ["landscape", "--instance", a, "--d", "2", "--beta-steps", "2", "--gamma-steps", "2",
+         "--gamma-bias", "1e308", "--out", out], "gamma'"),
+    "transfer-gamma": lambda a, b, out: (
+        ["transfer", "--donor-instance", a, "--target-instance", b, "--d", "2",
+         "--donor-params", "0.3,1e308,0", "--out", out], "gamma"),
+    "shots-beta": lambda a, b, out: (
+        ["shots", "--instance", a, "--d", "2", "--params", "1e308,0.1,0", "--out", out], "beta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_overflowing_angle_exits_3(runner, tmp_path, case):
+    paths = []
+    for k in range(2):
+        paths.append(tmp_path / f"inst{k}.txt")
+        write_instance(generate_sk(8, "pm1", seed=k), paths[-1])
+    out = tmp_path / "out.csv"
+    argv, name = OVERFLOW_CASES[case](str(paths[0]), str(paths[1]), str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning raises, and the run exits 1
+        result = runner.invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert one_error_line(result) and f"is not finite at {name} = 1e+308" in result.output
+    assert not out.exists()
 
 
 def one_error_line(result) -> bool:

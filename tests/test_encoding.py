@@ -1,9 +1,7 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from encoding_oracle import encode_target, spin_table, split_rows
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeopt.encoding import make_scheme, pattern_spins
@@ -15,20 +13,12 @@ class TestMakeScheme:
         scheme = make_scheme(12, 3)
         assert scheme.n_label_qubits == 2
         assert scheme.n_qubits == 5
-        assert scheme.n_vars_raw is None
 
     def test_d_equals_n_has_no_label_register(self):
         scheme = make_scheme(4, 4)
         assert scheme.n_label_qubits == 0
         assert scheme.n_qubits == 4
         assert scheme.n_groups == 1
-
-    def test_padding_raises_to_next_pow2_multiple(self):
-        scheme = make_scheme(12, 4, allow_padding=True)
-        assert scheme.n_vars == 16
-        assert scheme.n_label_qubits == 2
-        assert scheme.n_qubits == 6
-        assert scheme.n_vars_raw == 12
 
     def test_non_pow2_group_count_rejected_without_padding(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -38,26 +28,6 @@ class TestMakeScheme:
     def test_invalid_sizes(self, n, d):
         with pytest.raises(ValueError):
             make_scheme(n, d)
-
-    @given(st.integers(1, 8), st.integers(2, 200))
-    def test_derived_sizes_with_and_without_padding(self, d, n):
-        assume(n >= d)
-        scheme = make_scheme(n, d, allow_padding=True)
-        assert [f.name for f in fields(scheme)] == ["n_vars", "group_size", "n_vars_raw"]
-        groups, rest = divmod(scheme.n_vars, d)
-        assert rest == 0 and groups & (groups - 1) == 0
-        assert scheme.n_vars >= n and (groups == 1 or scheme.n_vars // 2 < n)
-        assert scheme.n_groups == groups
-        assert 1 << scheme.n_label_qubits == groups
-        assert scheme.n_qubits == d + scheme.n_label_qubits
-        assert scheme.dim == 1 << scheme.n_qubits
-        if scheme.n_vars == n:
-            assert scheme.n_vars_raw is None
-            assert make_scheme(n, d) == scheme
-        else:
-            assert scheme.n_vars_raw == n
-            with pytest.raises(ValueError, match="power of two"):
-                make_scheme(n, d)
 
 
 def site_of(scheme, i):

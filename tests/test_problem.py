@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qeopt.encoding import make_scheme
 from qeopt.problem import (
     WEIGHT_KINDS,
     OptimumRecord,
@@ -251,10 +254,38 @@ class TestRatioAndPadding:
         with pytest.raises(ValueError):
             approximation_ratio(-1.0, 0.0)
 
-    def test_pad_preserves_costs(self, n4_instance):
-        padded = pad_instance(n4_instance, 8)
-        z = np.array([1, -1, 1, -1, 1, 1, -1, -1])
-        assert cost(padded, z) == cost(n4_instance, z[:4])
+    def test_pad_preserves_costs(self):
+        # N=12 at d=4 pads to 16 variables: 4 labels, q = 6
+        inst = generate_sk(12, "gaussian", seed=2)
+        padded = pad_instance(inst, 4)
+        assert padded.n_vars == 16 and make_scheme(16, 4).n_qubits == 6
+        z = np.array([1, -1, 1, -1, 1, 1, -1, -1, 1, 1, 1, -1, 1, -1, -1, 1])
+        assert cost(padded, z) == pytest.approx(cost(inst, z[:12]), abs=1e-12)
+        assert (padded.weight_kind, padded.seed) == (inst.weight_kind, inst.seed)
+
+    @given(st.integers(1, 8), st.integers(2, 200), st.integers(0, 2**31 - 1))
+    def test_pad_size_is_the_next_pow2_multiple(self, d, n, seed):
+        assume(n >= d)
+        inst = generate_sk(n, "pm1", seed=seed)
+        padded = pad_instance(inst, d)
+        groups, rest = divmod(padded.n_vars, d)
+        assert rest == 0 and groups & (groups - 1) == 0
+        assert padded.n_vars >= n and (groups == 1 or padded.n_vars // 2 < n)
+        scheme = make_scheme(padded.n_vars, d)
+        assert [f.name for f in fields(scheme)] == ["n_vars", "group_size"]
+        assert scheme.n_groups == groups
+        assert 1 << scheme.n_label_qubits == groups
+        assert scheme.n_qubits == d + scheme.n_label_qubits
+        assert scheme.dim == 1 << scheme.n_qubits
+        if padded.n_vars == n:
+            assert padded is inst
+        else:
+            with pytest.raises(ValueError, match="power of two"):
+                make_scheme(n, d)
+        np.testing.assert_array_equal(padded.weights[:n, :n], inst.weights)
+        assert not padded.weights[n:].any() and not padded.weights[:, n:].any()
+        z = stream(seed, "pad-test").choice([-1.0, 1.0], size=padded.n_vars)
+        assert cost(padded, z) == cost(inst, z[:n])  # pm1 sums are exact
 
     def test_ground_truth_dispatch(self, n4_instance):
         assert ground_truth(n4_instance).method == "brute_force"

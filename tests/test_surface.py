@@ -12,6 +12,12 @@ package dataclass declares, must be read as an attribute by the code of
 Reading means a name or an attribute in the code: a call or a reference.
 A definition, an import, a docstring or a comment does not count, so a
 helper whose last caller has gone is dead code.
+A parameter with a default, on a ``def`` in ``src/qeopt``, must be set by a
+call in the code of ``src/qeopt``, ``scripts/`` or ``bench/``: passed by
+keyword, or positionally past the required arguments. A call with
+``**mapping`` sets every keyword, one with ``*sequence`` every position, and
+a call of a class sets the parameters of its ``__init__``. A default that
+only the tests override is an option without a program use.
 """
 
 import ast
@@ -133,3 +139,49 @@ def test_every_private_function_has_a_caller_in_the_package():
 def test_cached_functions_are_checked():
     names = {name for name, _ in module_objects()}
     assert {"pair_product_table", "_pair_columns"} <= names
+
+
+def defaulted_parameters():
+    """(callee name, parameter, position) for every parameter with a default
+    on a ``def`` in the package. A method is called by its own name, with the
+    positions counted after ``self``, and ``__init__`` by its class's name;
+    position is None for a keyword-only parameter."""
+    for path in PACKAGE_FILES:
+        tree = ast.parse(path.read_text())
+        methods = {stmt: cls.name if stmt.name == "__init__" else stmt.name
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for stmt in cls.body if isinstance(stmt, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name, args = methods.get(node, node.name), node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if node in methods else 0
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                yield name, positional[index].arg, index - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def set_parameters(files):
+    """(callee name, parameter or position) for what each call in ``files``
+    sets; "**" and "*" stand for every keyword and every position."""
+    for path in files:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for keyword in call.keywords:
+                yield name, keyword.arg or "**"
+            for index, arg in enumerate(call.args):
+                yield name, "*" if isinstance(arg, ast.Starred) else index
+
+
+def test_every_default_is_set_by_program_code():
+    set_here = set(set_parameters(PROGRAM_FILES))
+    orphans = sorted(
+        (name, param) for name, param, position in defaulted_parameters()
+        if not {(name, param), (name, "**")} & set_here
+        and (position is None or not {(name, "*"), (name, position)} & set_here))
+    assert not orphans, f"parameters only the tests set: {orphans}"
