@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qeopt.encoding import make_scheme, pattern_spins
 from qeopt.estimator import pair_product_table
+from qeopt.problem import generate_sk, pad_instance
 
 
 class TestMakeScheme:
@@ -19,6 +20,14 @@ class TestMakeScheme:
         assert scheme.n_label_qubits == 0
         assert scheme.n_qubits == 4
         assert scheme.n_groups == 1
+
+    def test_padding_raises_to_next_pow2_multiple(self):
+        inst = generate_sk(12, "gaussian", seed=2)
+        scheme = make_scheme(pad_instance(inst, 4).n_vars, 4)
+        assert scheme.n_vars == 16
+        assert scheme.n_label_qubits == 2
+        assert scheme.n_qubits == 6
+        assert inst.n_vars == 12
 
     def test_non_pow2_group_count_rejected_without_padding(self):
         with pytest.raises(ValueError, match="power of two"):
