@@ -54,8 +54,9 @@ def data_entropy(scheme: EncodingScheme, spins: np.ndarray) -> float:
     spins = np.asarray(spins)
     if spins.shape != (scheme.n_vars,):
         raise ValueError(f"expected {scheme.n_vars} spins, got {spins.shape}")
-    patterns = (spins < 0).reshape(scheme.n_groups, scheme.group_size)
-    _, counts = np.unique(np.packbits(patterns, axis=1), axis=0, return_counts=True)
+    packed = np.packbits((spins < 0).reshape(scheme.n_groups, scheme.group_size), axis=1)
+    # one void field per row, which np.unique sorts whole, in axis=0's order
+    _, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_counts=True)
     merged = counts / scheme.n_groups
     return float(-np.sum(merged * np.log2(merged)))
 

@@ -25,8 +25,8 @@ from qeopt.ansatz import LayerParams, extract_solution, landscape, run_ansatz
 from qeopt.compiler import _check_verifiable, compile_layer, dumps
 from qeopt.encoding import is_pow2_multiple, make_scheme
 from qeopt.estimator import exact_evaluation_bytes, exact_group_stats
-from qeopt.problem import (WEIGHT_KINDS, approximation_ratio, example_instance_n4, generate_sk,
-                           ground_truth, pad_instance)
+from qeopt.problem import (WEIGHT_KINDS, approximation_ratio, cost, example_instance_n4,
+                           generate_sk, ground_truth, pad_instance)
 from qeopt.rng import stream
 from qeopt.simulator import init_plus
 
@@ -288,9 +288,9 @@ def solve(instance_path, d, p, mode, shots, seed, hops, local_evals, freeze_gamm
         result = opt.optimize(encoded, scheme, p, config)
     trace = run_ansatz(encoded, scheme, list(result.best_params), mode=mode,
                        n_shots=shots, seed=seed)
-    solution, rounded_cost = extract_solution(trace, seed=seed)
+    solution = extract_solution(trace, seed=seed)[0][:inst.n_vars]
+    rounded_cost = cost(inst, solution)  # on the instance C* was taken on
     ratio = approximation_ratio(trace.final_cost, record.best_cost)
-    solution = solution[:inst.n_vars]
     row = [
         Path(instance_path).name, encoded.n_vars, d, p, mode, shots if mode == "shots" else 0,
         seed, trace.final_cost, record.best_cost, record.method, ratio,

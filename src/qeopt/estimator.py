@@ -276,36 +276,37 @@ class HamiltonianTerm:
     coefficient: float
 
 
-def _separator_setup(
+def _separator_coefficients(
     instance: SKInstance, scheme: EncodingScheme, stats: GroupStats
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intra-group pair weights (N/d, C(d,2)), cross-group fields (N/d, d) and
-    the <P_l> normalization (N/d,), 1 for unobserved labels."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The separator's coefficients, each divided by <P_l> once: the intra-group
+    pair weights (N/d, C(d,2)) and the cross-group fields (N/d, d). The rows of
+    unobserved labels are 0."""
     _check_sizes(instance, scheme)
     if stats.n_unobserved:
         log.debug("dropping Hamiltonian terms for %d unobserved label(s)", stats.n_unobserved)
     _, intra_w = _group_weights(instance, scheme)
     h_mat = cross_group_fields(instance, scheme, stats).reshape(scheme.n_groups, scheme.group_size)
-    denom = np.where(stats.observed, stats.p_label, 1.0)
-    return intra_w, h_mat, denom
+    p, observed = stats.p_label[:, None], stats.observed[:, None]
+    return tuple(np.divide(w, p, out=np.zeros_like(w), where=observed) for w in (intra_w, h_mat))
 
 
 def cost_hamiltonian_terms(
     instance: SKInstance, scheme: EncodingScheme, stats: GroupStats
 ) -> list[HamiltonianTerm]:
-    """Symbolic term list of the state-dependent Hamiltonian.
+    """Symbolic term list of the state-dependent Hamiltonian: the nonzero
+    coefficients of ``_separator_coefficients``.
 
-    Coefficients carry the 1/<P_l> normalization. Terms owned by unobserved
-    labels are dropped (with a debug message); zero-weight pair terms and
-    zero-field one-body terms are skipped. Terms come label by label, pairs
-    in ``data_pair_indices`` order before the one-body terms.
+    Terms owned by unobserved labels are dropped (with a debug message);
+    zero-weight pair terms and zero-field one-body terms are skipped. Terms
+    come label by label, pairs in ``data_pair_indices`` order before the
+    one-body terms.
     """
-    intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
+    pairs, fields = _separator_coefficients(instance, scheme, stats)
     d = scheme.group_size
     targets = data_pair_indices(d) + [(a,) for a in range(d)]
-    weights = np.concatenate((intra_w, h_mat), axis=1)
-    coeffs = weights * (1.0 / denom)[:, None]
-    labels, cols = np.nonzero((weights != 0.0) & stats.observed[:, None])
+    coeffs = np.concatenate((pairs, fields), axis=1)
+    labels, cols = np.nonzero(coeffs)
     return [
         HamiltonianTerm(label, targets[col], coeff)
         for label, col, coeff in zip(labels.tolist(), cols.tolist(), coeffs[labels, cols].tolist())
@@ -315,22 +316,20 @@ def cost_hamiltonian_terms(
 def build_cost_hamiltonian(
     instance: SKInstance, scheme: EncodingScheme, stats: GroupStats
 ) -> DiagonalOperator:
-    """Materialize the state-dependent Hamiltonian as a dense diagonal.
+    """Materialize the state-dependent Hamiltonian as a dense diagonal: the
+    coefficients of ``_separator_coefficients`` times the split tables.
 
     The pair product is written into the output; the field product is one
-    2**q float64 temporary, added into it. Both stay separate matmuls, so
-    the sums keep their order.
+    2**q float64 temporary, added into it.
     """
-    intra_w, h_mat, denom = _separator_setup(instance, scheme, stats)
+    pairs, fields = _separator_coefficients(instance, scheme, stats)
     tables = pair_product_table(scheme.group_size)
     labels, low = scheme.n_groups, len(tables.pair_template)
     block = np.empty((labels, scheme.dim // labels))
     # row label * 2**h + hi holds the entries of high pattern hi in the
-    # label's row; its weights are the label's, signed by the high pattern
+    # label's row; its coefficients are the label's, signed by the high pattern
     rows = block.reshape(-1, low)
-    signed = (intra_w[:, None, :] * tables.pair_signs).reshape(len(rows), -1)
+    signed = (pairs[:, None, :] * tables.pair_signs).reshape(len(rows), -1)
     np.matmul(signed, tables.pair_template.T, out=rows)
-    rows += (h_mat[:, None, :] * tables.spin_signs).reshape(len(rows), -1) @ tables.spin_template.T
-    block /= denom[:, None]
-    block[~stats.observed] = 0.0
+    rows += (fields[:, None, :] * tables.spin_signs).reshape(len(rows), -1) @ tables.spin_template.T
     return DiagonalOperator(scheme.n_qubits, block.ravel())

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`. Statistical criteria use
 fixed seeds; the ensemble sizes follow the desk-scale presets. Expensive
 shared artifacts (donor optimization, ensembles with their ground truths)
-are session fixtures.
+are session fixtures; the tabu ensembles are defined in conftest.py.
 """
 
 import time
@@ -37,7 +37,6 @@ from qeopt.problem import (
     brute_force_optimum,
     example_instance_n4,
     generate_sk,
-    local_search_optimum,
 )
 from qeopt.simulator import Statevector, init_plus
 
@@ -54,36 +53,12 @@ def report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="session")
-def fixture_instance():
-    return example_instance_n4()
-
-@pytest.fixture(scope="session")
-def fixture_scheme():
-    return make_scheme(4, 2)
-
-
-@pytest.fixture(scope="session")
-def donor_setup():
+def donor_setup(donor):
     """N=64 d=4 donor: tabu ground truth and warm-started p=1..3 optimization."""
-    donor = generate_sk(64, "pm1", seed=1)
+    (inst,), (record,) = donor.instances, donor.records
     scheme = make_scheme(64, 4)
-    c_star = local_search_optimum(donor, seed=0).best_cost
-    schedule = warm_start_schedule(donor, scheme, 3, OptimizerConfig(n_hops=24, seed=7))
-    return donor, scheme, c_star, schedule
-
-
-@pytest.fixture(scope="session")
-def pm1_ensemble():
-    instances = [generate_sk(64, "pm1", seed=100 + k) for k in range(20)]
-    records = [local_search_optimum(inst, seed=40 + k) for k, inst in enumerate(instances)]
-    return instances, records
-
-
-@pytest.fixture(scope="session")
-def gaussian_ensemble():
-    instances = [generate_sk(64, "gaussian", seed=200 + k) for k in range(20)]
-    records = [local_search_optimum(inst, seed=60 + k) for k, inst in enumerate(instances)]
-    return instances, records
+    schedule = warm_start_schedule(inst, scheme, 3, OptimizerConfig(n_hops=24, seed=7))
+    return inst, scheme, record.best_cost, schedule
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +66,9 @@ def gaussian_ensemble():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_01_fixture_ground_truth(fixture_instance):
+def test_criterion_01_fixture_ground_truth(n4_instance):
     t0 = time.time()
-    record = brute_force_optimum(fixture_instance)
+    record = brute_force_optimum(n4_instance)
     elapsed = time.time() - t0
     ok = (
         record.best_cost == -4.0
@@ -103,20 +78,20 @@ def test_criterion_01_fixture_ground_truth(fixture_instance):
            f"C*={record.best_cost}, minimizers={sorted(record.minimizers)}, {elapsed:.2f}s")
 
 
-def test_criterion_02_landscape_identity(fixture_instance, fixture_scheme):
+def test_criterion_02_landscape_identity(n4_instance, n4_scheme):
     t0 = time.time()
     betas = np.linspace(0, np.pi, 33)
     gammas = np.linspace(-np.pi, np.pi, 33)
-    grid = landscape(fixture_instance, fixture_scheme, betas, gammas, gamma_bias=0.0)
+    grid = landscape(n4_instance, n4_scheme, betas, gammas, gamma_bias=0.0)
     reference = 2.0 * np.outer(np.sin(4 * betas), np.sin(4 * gammas))
     deviation = float(np.abs(grid - reference).max())
     report(2, "p=1 landscape identity", deviation < 1e-9,
            f"max deviation {deviation:.3e} on 33x33 grid, {time.time() - t0:.2f}s")
 
 
-def test_criterion_03_optimal_point_state(fixture_instance, fixture_scheme):
+def test_criterion_03_optimal_point_state(n4_instance, n4_scheme):
     t0 = time.time()
-    trace = run_ansatz(fixture_instance, fixture_scheme, [LayerParams(3 * np.pi / 8, np.pi / 8)])
+    trace = run_ansatz(n4_instance, n4_scheme, [LayerParams(3 * np.pi / 8, np.pi / 8)])
     probs = trace.final_state.probabilities()
     stats = trace.layer_stats[-1]
     ok = (
@@ -131,14 +106,14 @@ def test_criterion_03_optimal_point_state(fixture_instance, fixture_scheme):
            f"{time.time() - t0:.2f}s")
 
 
-def test_criterion_04_symmetry_breaking(fixture_instance, fixture_scheme):
+def test_criterion_04_symmetry_breaking(n4_instance, n4_scheme):
     t0 = time.time()
     schedule = warm_start_schedule(
-        fixture_instance, fixture_scheme, 3, OptimizerConfig(n_hops=20, seed=3)
+        n4_instance, n4_scheme, 3, OptimizerConfig(n_hops=20, seed=3)
     )
     best_p = min(schedule, key=lambda p: schedule[p].best_cost)
     result = schedule[best_p]
-    trace = run_ansatz(fixture_instance, fixture_scheme, list(result.best_params))
+    trace = run_ansatz(n4_instance, n4_scheme, list(result.best_params))
     _, rounded_cost = extract_solution(trace, seed=1)
     ok = rounded_cost == -4.0 and result.best_cost <= -3.6
     report(4, "symmetry breaking at p<=3", ok,
@@ -260,10 +235,10 @@ def test_criterion_10_parameter_concentration(donor_setup, pm1_ensemble, gaussia
     donor_ratio = approximation_ratio(schedule[3].best_cost, c_star)
     params = schedule[3].best_params
     means = []
-    for instances, records in (pm1_ensemble, gaussian_ensemble):
+    for ensemble in (pm1_ensemble, gaussian_ensemble):
         ratios = [approximation_ratio(run_ansatz(inst, scheme, list(params)).final_cost,
                                       record.best_cost)
-                  for inst, record in zip(instances, records)]
+                  for inst, record in zip(ensemble.instances, ensemble.records)]
         means.append(float(np.mean(ratios)))
     pm1_mean, gauss_mean = means
     gap_pm1 = abs(pm1_mean - donor_ratio)
@@ -274,15 +249,14 @@ def test_criterion_10_parameter_concentration(donor_setup, pm1_ensemble, gaussia
            f"gaussian mean {gauss_mean:.4f} (gap {gap_gauss:.4f}), {time.time() - t0:.1f}s")
 
 
-def test_criterion_11_transfer_and_gamma_scaling(donor_setup):
+def test_criterion_11_transfer_and_gamma_scaling(donor_setup, transfer_n128):
     t0 = time.time()
     donor, scheme, _, schedule = donor_setup
     scheme128 = make_scheme(128, 4)
     transferred = transfer_params(schedule[3].best_params, (64, 4), (128, 4))
     transfer_ratios, direct_ratios = [], []
-    for k in range(10):
-        inst = generate_sk(128, "pm1", seed=300 + k)
-        c_star = local_search_optimum(inst, seed=50 + k).best_cost
+    for k, (inst, record) in enumerate(zip(transfer_n128.instances, transfer_n128.records)):
+        c_star = record.best_cost
         trace = run_ansatz(inst, scheme128, list(transferred))
         transfer_ratios.append(trace.final_cost / c_star)
         direct = warm_start_schedule(inst, scheme128, 3, OptimizerConfig(n_hops=12, seed=70 + k))
@@ -309,9 +283,8 @@ def test_criterion_12_baseline_dominance(donor_setup, pm1_ensemble):
     t0 = time.time()
     _, scheme, _, schedule = donor_setup
     params = schedule[3].best_params
-    instances, records = pm1_ensemble
     ansatz_ratios, baseline_ratios = [], []
-    for inst, record in zip(instances, records):
+    for inst, record in zip(pm1_ensemble.instances, pm1_ensemble.records):
         trace = run_ansatz(inst, scheme, list(params))
         ansatz_ratios.append(trace.final_cost / record.best_cost)
         baseline_ratios.append(decomposed_baseline_exact(inst, scheme) / record.best_cost)

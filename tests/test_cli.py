@@ -17,7 +17,7 @@ from qeopt import cli
 from qeopt.cli import main
 from qeopt.encoding import make_scheme
 from qeopt.estimator import exact_evaluation_bytes
-from qeopt.problem import SKInstance, example_instance_n4, generate_sk
+from qeopt.problem import SKInstance, cost, example_instance_n4, generate_sk
 from qeopt.runfiles import read_instance, read_manifest, write_instance
 from qeopt.simulator import Statevector
 
@@ -177,6 +177,23 @@ class TestSolve:
         assert (values["c_star"], values["c_star_method"]) == ("-56", "brute_force")
         assert values["n_vars"] == "32" and len(values["solution"]) == 20
 
+    def test_padded_rounded_cost_is_taken_on_the_instance_as_given(self, runner, tmp_path):
+        # the padded instance's z @ W @ z moves the last bits of a gaussian cost
+        inst = generate_sk(12, "gaussian", seed=3)
+        inst_path = tmp_path / "n12.txt"
+        write_instance(inst, inst_path)
+        out = tmp_path / "res.csv"
+        result = runner.invoke(main, [
+            "solve", "--instance", str(inst_path), "--d", "4", "--p", "1",
+            "--allow-padding", "--hops", "1", "--local-evals", "40", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        (values,) = read_rows(out)
+        spins = np.array([1 if c == "+" else -1 for c in values["solution"]])
+        rounded = cost(read_instance(inst_path), spins)
+        assert float(values["rounded_cost"]) == rounded
+        assert float(values["rounded_ratio"]) == rounded / float(values["c_star"])
+
     def test_padding_refuses_group_size_above_n(self, runner, tmp_path):
         inst_path = tmp_path / "n12.txt"
         write_instance(generate_sk(12, "pm1", seed=2), inst_path)
@@ -324,8 +341,10 @@ class TestLandscape:
 
 
 # sha256 of `landscape --d 2 --beta-steps 5 --gamma-steps 3 --mode shots --shots 200
-# --seed 4` on the 4-variable fixture
-SHOT_LANDSCAPE_SHA256 = "4f711ac61774f70504f1843c4a7a4838bd458619b12341ce07cd3079af8b64ec"
+# --seed 4` on the 4-variable fixture, re-taken when the separator's coefficients
+# were divided by <P_l> before its products: the states' last bits moved, and
+# one grid point's 200 shots with them
+SHOT_LANDSCAPE_SHA256 = "72714cf24ea963f962eb37bf96b119f3fc94d1c754ace73dc52e79eb8109610f"
 
 # sha256 of `solve --d 4 --p 2 --hops 1 --local-evals 40 --seed 3` on the instance of
 # `generate --n 16 --seed 2`
@@ -339,8 +358,9 @@ EXACT_LANDSCAPE_SHA256 = "04f57b82869ce4a7ab618d96791aba9af98224767fd42c2dbcec51
 # instance of `generate --n 32 --seed 2` (q = 17), taken when the spins and the
 # pair products were split: d = 16 sums zbar and the correlations in blocks of
 # 2**12 patterns, so the costs' last digits differ from those the dense tables
-# gave, by design
-SPLIT_LANDSCAPE_SHA256 = "761b7938bf71641d27de7e6276cfcd9774f5f48e708758067fac2ce681a2d8bb"
+# gave, by design; re-taken when the separator's coefficients were divided by
+# <P_l> before its products, which moved the last digits again
+SPLIT_LANDSCAPE_SHA256 = "fb82bf75c69f8b6d3b5026c4bc1257f7bf24f0315fe3965af54a9f4e739c76f8"
 
 SEARCH_SOLVE = ["solve", "--d", "4", "--p", "2", "--hops", "1", "--local-evals", "40",
                 "--seed", "3"]

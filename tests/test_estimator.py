@@ -247,7 +247,8 @@ class TestPairTables:
         assert [wrapper.cache_info().currsize for wrapper in caches] == warmed
 
     # (64, 16) and (26, 13) sum zbar and the correlations in split blocks, so
-    # those are bounded; the separator keeps its bits at every shape
+    # those are bounded; the separator keeps its bits at every shape: its
+    # coefficients are divided by <P_l> before either product
     @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 4), (64, 4), (64, 16), (26, 13)],
                              ids=lambda s: "%dx%d" % s)
     def test_stats_and_hamiltonian_bit_identical_to_per_call_table(self, shape):
@@ -277,8 +278,9 @@ class TestPairTables:
 
         def dense_diagonal(stats):
             h_mat = cross_group_fields(inst, scheme, stats).reshape(scheme.n_groups, d)
-            block = dense @ intra_w.T + spins @ h_mat.T
-            return (block / stats.p_label[None, :]).T.ravel()
+            p_label = stats.p_label[:, None]
+            block = dense @ (intra_w / p_label).T + spins @ (h_mat / p_label).T
+            return block.T.ravel()
 
         entries = build_cost_hamiltonian(inst, scheme, got).entries
         assert np.array_equal(entries, dense_diagonal(got))
@@ -424,6 +426,24 @@ class TestCost:
         assert estimate_cost(inst, scheme, stats).total == pytest.approx(cost(inst, z), abs=1e-9)
 
 
+def product_then_division_diagonal(instance, scheme, stats):
+    """The dense diagonal in its earlier order: the signed template products
+    of the raw pair weights and fields, then divided by <P_l>, then the rows
+    of unobserved labels set to 0."""
+    d = scheme.group_size
+    intra_w = _group_weights(instance, scheme)[1]
+    h_mat = cross_group_fields(instance, scheme, stats).reshape(scheme.n_groups, d)
+    tables = pair_product_table(d)
+    block = np.empty((scheme.n_groups, scheme.dim // scheme.n_groups))
+    rows = block.reshape(-1, len(tables.pair_template))
+    np.matmul((intra_w[:, None, :] * tables.pair_signs).reshape(len(rows), -1),
+              tables.pair_template.T, out=rows)
+    rows += (h_mat[:, None, :] * tables.spin_signs).reshape(len(rows), -1) @ tables.spin_template.T
+    block /= np.where(stats.observed, stats.p_label, 1.0)[:, None]
+    block[~stats.observed] = 0.0
+    return block.ravel()
+
+
 class TestHamiltonian:
     def test_plus_state_operator_of_the_worked_example(self, n4_instance, n4_scheme):
         stats = exact_group_stats(n4_scheme, init_plus(3))
@@ -499,7 +519,7 @@ class TestHamiltonian:
                 z *= 1 - 2 * ((pattern >> (d - 1 - dq)) & 1)
             rebuilt[term.label] += term.coefficient * z
         scale = np.abs(dense).max()
-        assert np.abs(rebuilt.ravel() - dense).max() <= 1e-12 * scale
+        assert np.abs(rebuilt.ravel() - dense).max() <= 1e-14 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -534,16 +554,40 @@ class TestHamiltonian:
         for label in range(scheme.n_groups):
             if not stats.observed[label]:
                 continue
-            inv_p = 1.0 / stats.p_label[label]
+            p = stats.p_label[label]
             for idx, (a, b) in enumerate(pairs):
                 w = intra_w[label, idx]
                 if w != 0.0:
-                    want.append(HamiltonianTerm(label, (a, b), w * inv_p))
+                    want.append(HamiltonianTerm(label, (a, b), w / p))
             for a in range(d):
                 hi = h[d * label + a]
                 if hi != 0.0:
-                    want.append(HamiltonianTerm(label, (a,), hi * inv_p))
+                    want.append(HamiltonianTerm(label, (a,), hi / p))
         assert cost_hamiltonian_terms(inst, scheme, stats) == want
+
+    @pytest.mark.parametrize("shape", [(8, 1), (8, 2), (16, 2), (16, 4), (8, 8), (64, 4),
+                                       (26, 13), (64, 16)], ids=lambda s: "%dx%d" % s)
+    @settings(max_examples=15, deadline=None)
+    @given(kind=st.sampled_from(WEIGHT_KINDS), seed=st.integers(0, 10_000),
+           drop_label=st.booleans())
+    @example(kind="gaussian", seed=3, drop_label=True)
+    def test_product_then_division_agrees(self, shape, kind, seed, drop_label):
+        """The diagonal whose products ran before the 1/<P_l> division and
+        the zeroing of unobserved labels agrees with the one built from the
+        normalized coefficients within 1e-14 of the largest entry."""
+        n, d = shape
+        inst = generate_sk(n, kind, seed=seed)
+        scheme = make_scheme(n, d)
+        rng = np.random.default_rng(seed)
+        amps = random_state(rng, scheme.n_qubits).amps.reshape(scheme.n_groups, 1 << d)
+        if drop_label and scheme.n_groups > 1:
+            amps[rng.integers(scheme.n_groups)] = 0.0
+        stats = exact_group_stats(
+            scheme, Statevector(scheme.n_qubits, amps.ravel() / np.linalg.norm(amps)))
+        entries = build_cost_hamiltonian(inst, scheme, stats).entries
+        old = product_then_division_diagonal(inst, scheme, stats)
+        assert np.abs(entries - old).max() <= 1e-14 * np.abs(old).max()
+        assert np.all(entries.reshape(scheme.n_groups, -1)[~stats.observed] == 0.0)
 
     def test_unobserved_label_terms_dropped(self, n4_instance, n4_scheme, caplog):
         amps = np.zeros(8, dtype=complex)

@@ -205,24 +205,23 @@ def count_moves(monkeypatch):
     return calls
 
 
-# (N, weight kind, instance seed, tabu seed) of every tabu search in test_acceptance.py
-ACCEPTANCE_RUNS = {
-    "donor": [(64, "pm1", 1, 0)],
-    "pm1_ensemble": [(64, "pm1", 100 + k, 40 + k) for k in range(20)],
-    "gaussian_ensemble": [(64, "gaussian", 200 + k, 60 + k) for k in range(20)],
-    "transfer_n128": [(128, "pm1", 300 + k, 50 + k) for k in range(10)],
-}
+# (N, weight kind, instance seed, tabu seed)
 RANDOM_RUNS = [(n, kind, 7000 + 10 * n + k, k) for n in (32, 64) for kind in WEIGHT_KINDS
                for k in range(6)]
 
 
 class TestStallExit:
-    @pytest.mark.parametrize("group", list(ACCEPTANCE_RUNS) + ["random"])
-    def test_records_equal_full_budget(self, group):
-        runs = RANDOM_RUNS if group == "random" else ACCEPTANCE_RUNS[group]
-        for n, kind, inst_seed, tabu_seed in runs:
-            inst = generate_sk(n, kind, seed=inst_seed)
-            assert local_search_optimum(inst, seed=tabu_seed) == full_budget_search(inst, tabu_seed)
+    # the acceptance suite's ensembles (conftest.py) and random runs
+    @pytest.mark.parametrize("group", ["donor", "pm1_ensemble", "gaussian_ensemble",
+                                       "transfer_n128", "random"])
+    def test_records_equal_full_budget(self, group, request):
+        if group == "random":
+            drawn = [(generate_sk(n, kind, seed=s), t) for n, kind, s, t in RANDOM_RUNS]
+            runs = [(inst, t, local_search_optimum(inst, seed=t)) for inst, t in drawn]
+        else:  # instances, tabu seeds, records
+            runs = zip(*request.getfixturevalue(group))
+        for inst, tabu_seed, record in runs:
+            assert record == full_budget_search(inst, tabu_seed)
 
     def test_exit_fires_on_pm1(self, monkeypatch):
         inst = generate_sk(64, "pm1", seed=1)
