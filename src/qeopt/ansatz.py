@@ -87,17 +87,8 @@ def apply_layer(
     zero-magnetization ground-state patterns), so the register-wide field is
     load-bearing for symmetry breaking at small depth.
     """
-    return _phase_and_bias(state, hamiltonian, layer.gamma, layer.gamma_bias).apply_mixer(
-        layer.beta)
-
-
-def _phase_and_bias(state: Statevector, hamiltonian: DiagonalOperator, gamma: float,
-                    gamma_bias: float) -> Statevector:
-    """The first two factors of a layer, exp(i gamma' H_z) exp(i gamma H), in place."""
-    state.apply_diagonal_phase(hamiltonian, gamma)
-    if gamma_bias != 0.0:
-        state.apply_bias(gamma_bias)
-    return state
+    state.apply_diagonal_phase(hamiltonian, layer.gamma, layer.gamma_bias)
+    return state.apply_mixer(layer.beta)
 
 
 def run_ansatz(
@@ -200,7 +191,7 @@ def appended_layer_grid(
     for j, gamma in enumerate(gammas):
         for k, bias in enumerate(biases):
             np.copyto(phased.amps, start.final_state.amps)
-            _phase_and_bias(phased, start.separator, gamma, bias)
+            phased.apply_diagonal_phase(start.separator, gamma, bias)
             for i, beta in enumerate(betas):
                 np.copyto(mixed.amps, phased.amps)
                 stats = exact_group_stats(scheme, mixed.apply_mixer(beta))
@@ -254,8 +245,9 @@ def extract_solution(trace: AnsatzTrace, seed: int = 0) -> tuple[np.ndarray, flo
 
     Candidate A takes sign(zbar_i), ties broken by a seeded coin. Candidate B
     takes the modal data pattern per label from the final probabilities
-    (exact) or the last layer's shot counts (shots). The candidate with the
-    lower classical cost wins.
+    (exact) or the last layer's shot counts (shots), and a seeded random
+    pattern for a label that no shot read. The candidate with the lower
+    classical cost wins.
     """
     rng = stream(seed, "rounding")
     scheme = trace.scheme
@@ -268,13 +260,10 @@ def extract_solution(trace: AnsatzTrace, seed: int = 0) -> tuple[np.ndarray, flo
     if final is None:
         final = trace.final_state.probabilities()
     grouped = final.reshape(scheme.n_groups, 1 << d)
-    cand_b = np.empty(scheme.n_vars, dtype=np.int8)
-    for label in range(scheme.n_groups):
-        if grouped[label].sum() > 0:
-            pattern = int(np.argmax(grouped[label]))
-            cand_b[d * label : d * (label + 1)] = pattern_spins(pattern, d)
-        else:
-            cand_b[d * label : d * (label + 1)] = rng.integers(0, 2, size=d) * 2 - 1
+    cand_b = pattern_spins(grouped.argmax(axis=1), d).astype(np.int8)
+    empty = grouped.sum(axis=1) == 0
+    cand_b[empty] = rng.integers(0, 2, size=(int(empty.sum()), d)) * 2 - 1
+    cand_b = cand_b.ravel()
 
     cost_a = classical_cost(trace.instance, cand_a)
     cost_b = classical_cost(trace.instance, cand_b)

@@ -180,7 +180,10 @@ def local_search_optimum(instance: SKInstance, seed: int = 0) -> OptimumRecord:
     ``TABU_TENURE`` and an aspiration override when a move beats that
     restart's incumbent. The search stops once no restart's incumbent has
     improved for 8 sweeps (8 * N moves), and after ``TABU_MAX_SWEEPS * N``
-    moves at the latest. The minimizer is returned with z_0 = +1, as
+    moves at the latest. A cost improves when it falls by more than
+    1e-12 * max(1, sum |w_ij|), which bounds the drift of the running costs
+    (sum |w_ij| bounds |C(z)|); pm1 costs are integers and the threshold is
+    below 1. The minimizer is returned with z_0 = +1, as
     ``brute_force_optimum`` enumerates it. Deterministic given the seed.
     Calibrated to match brute force on N <= 24 with these budgets.
     """
@@ -197,6 +200,7 @@ def local_search_optimum(instance: SKInstance, seed: int = 0) -> OptimumRecord:
     inc_z = z.copy()
     rows = np.arange(r)
     last_improved = 0
+    tol = 1e-12 * max(1.0, float(np.abs(instance.weights).sum()))
 
     for move in range(TABU_MAX_SWEEPS * n):
         # stall exit at 8 sweeps, ~2x the largest pm1 gap between improvements (4.3 N)
@@ -205,7 +209,7 @@ def local_search_optimum(instance: SKInstance, seed: int = 0) -> OptimumRecord:
         gains = -2.0 * z * fields
         allowed = tabu_until <= move
         # aspiration: a tabu flip is allowed if it improves the incumbent
-        allowed |= costs[:, None] + gains < inc_costs[:, None] - 1e-12
+        allowed |= costs[:, None] + gains < inc_costs[:, None] - tol
         candidates = np.where(allowed, gains, np.inf)
         picks = np.argmin(candidates, axis=1)
         gain = candidates[rows, picks]
@@ -218,7 +222,7 @@ def local_search_optimum(instance: SKInstance, seed: int = 0) -> OptimumRecord:
         fields[rr] += 2.0 * z[rr, ii, None] * w_sym[ii]
         costs[rr] += gain[movable]
         tabu_until[rr, ii] = move + TABU_TENURE
-        improved = rr[costs[rr] < inc_costs[rr] - 1e-12]
+        improved = rr[costs[rr] < inc_costs[rr] - tol]
         if improved.size:
             inc_costs[improved] = costs[improved]
             inc_z[improved] = z[improved]

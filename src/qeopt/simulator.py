@@ -18,18 +18,6 @@ amplitudes (the last BLOCK_QUBITS qubits) run block by block, so the block
 stays in cache through all of them; the earlier passes run over pairs of
 blocks. The scratch is two blocks.
 
-One phase routine, ``_rz_passes``, likewise serves ``apply_rz`` (one qubit)
-and the bias (every qubit). It computes the phase pair [[e^{-i phi/2}],
-[e^{i phi/2}]] once and multiplies both halves of each qubit's split in
-place by that broadcast pair, qubit 0 first. The bias, Rz(-2 gamma') on
-every qubit, is therefore the same q multiplies by the same pair that q
-``apply_rz`` calls make, and gives their bits without recomputing the pair
-per qubit. A general complex product has no single-rounding guarantee: its
-bits depend on the loop numpy picks for the operand layout. The tests pin
-the broadcast against the two per-half multiplies for q >= 2; on a
-one-qubit state numpy rounds a one-element product without FMA and the two
-forms may differ in the last bit.
-
 The diagonal phase, exp(i gamma entries), runs in blocks of 2**BLOCK_QUBITS
 amplitudes with no state-sized temporary: it writes cos and sin of
 gamma * entries into one reused complex block and multiplies the state by it
@@ -41,6 +29,19 @@ kernel computes the same two terms. glibc's cexp of (+-0, y) is
 (cos y, sin y), the values numpy's float64 cos and sin take from the same
 libm. The tests pin the blocked phase against the whole-array form, signed
 zeros included.
+
+The bias, exp(i gamma' sum_i Z_i) = Rz(-2 gamma') on qubits 0..q-1, runs in
+the same blocks, after each block's phase, and gives the bits of q
+``apply_rz`` calls. Both multiply by one phase pair (``_rz_pair``), qubit 0
+first: a qubit above the block is constant over it, so the block takes that
+scalar row of the pair; a qubit inside the block multiplies the block's
+(..., 2, stride) view by the broadcast pair, as ``apply_rz`` does the
+state's. A general complex product has no single-rounding guarantee: its bits
+depend on the loop numpy picks for the operand layout. The tests pin the
+fused kernel against the phase and q broadcast multiplies at several block
+sizes, and the broadcast against the two per-half multiplies for q >= 2; on a
+one-qubit state numpy rounds a one-element product without FMA and the two
+forms may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def _scaled_angle(name: str, value: float, scale: float) -> float:
     if not math.isfinite(angle := scale * float(value)):
         raise ValueError(f"angle {scale!r} * {name} is not finite at {name} = {float(value)!r}")
     return angle
+
+
+def _rz_pair(phi: float) -> np.ndarray:
+    """Rz(phi)'s phases [[e^{-i phi/2}], [e^{i phi/2}]], one row per qubit value."""
+    return np.array([[np.exp(-1j * phi / 2)], [np.exp(1j * phi / 2)]])
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,8 @@ class Statevector:
 
     def apply_rz(self, qubit: int, phi: float) -> "Statevector":
         self._check_qubit(qubit)
-        self._rz_passes(range(qubit, qubit + 1), _scaled_angle("phi", phi, 1.0))
+        view = self.amps.reshape(1 << qubit, 2, 1 << (self.n_qubits - 1 - qubit))
+        view *= _rz_pair(_scaled_angle("phi", phi, 1.0))
         return self
 
     def apply_x(self, qubit: int) -> "Statevector":
@@ -159,43 +166,41 @@ class Statevector:
         if diag.n_qubits != self.n_qubits:
             raise ValueError(f"diagonal acts on {diag.n_qubits} qubits, state has {self.n_qubits}")
 
-    def apply_diagonal_phase(self, diag: DiagonalOperator, gamma: float) -> "Statevector":
-        """amp_k <- exp(i gamma entries_k) amp_k, in blocks of 2**BLOCK_QUBITS
-        amplitudes: the block's phase is written as cos and sin of
-        gamma * entries into one reused complex block, then multiplied in
-        place (see the module docstring for why this is exp's phase)."""
+    def apply_diagonal_phase(self, diag: DiagonalOperator, gamma: float,
+                             gamma_bias: float = 0.0) -> "Statevector":
+        """amp_k <- exp(i gamma entries_k) amp_k, then, if gamma' is not zero,
+        the bias Rz(-2 gamma') on qubits 0..q-1, in blocks of 2**BLOCK_QUBITS
+        amplitudes; both angles are checked before any amplitude changes (see
+        the module docstring for why these are the bits of exp and apply_rz)."""
         self._check_diagonal(diag)
         _scaled_angle("gamma", gamma, diag._largest)  # bounds |gamma * entry|
+        pair = None if gamma_bias == 0.0 else _rz_pair(_scaled_angle("gamma'", gamma_bias, -2.0))
+        q = self.n_qubits
         size = min(self.dim, 1 << BLOCK_QUBITS)
+        high = q - (size.bit_length() - 1)  # qubits whose value is constant over a block
         angle, phase = np.empty(size), np.empty(size, dtype=np.complex128)
         # the angle is the imaginary part of (1j * gamma) * (entry + 0j)
         coeff = 1j * gamma
         for start in range(0, self.dim, size):
+            block = self.amps[start:start + size]
             np.multiply(diag.entries[start:start + size], coeff.imag, out=angle)
             angle += coeff.real * 0.0
             np.cos(angle, out=phase.real)
             np.sin(angle, out=phase.imag)
-            self.amps[start:start + size] *= phase
+            block *= phase
+            if pair is None:
+                continue
+            for qubit in range(high):
+                block *= pair[(start >> (q - 1 - qubit)) & 1, 0]
+            for qubit in range(high, q):
+                halves = block.reshape(-1, 2, 1 << (q - 1 - qubit))
+                halves *= pair
         return self
 
     def apply_mixer(self, beta: float) -> "Statevector":
         """exp(i beta sum X_i) over all qubits: Rx(-2 beta) on qubits 0..q-1 in turn."""
         self._rx_passes(range(self.n_qubits), _scaled_angle("beta", beta, -2.0))
         return self
-
-    def apply_bias(self, gamma_bias: float) -> "Statevector":
-        """exp(i gamma' sum Z_i) over all qubits: Rz(-2 gamma') on qubits 0..q-1 in turn."""
-        self._rz_passes(range(self.n_qubits), _scaled_angle("gamma'", gamma_bias, -2.0))
-        return self
-
-    def _rz_passes(self, qubits: range, phi: float) -> None:
-        """Rz(phi) on each of ``qubits`` in increasing order: one phase pair,
-        one in-place broadcast multiply per qubit."""
-        pair = np.array([[np.exp(-1j * phi / 2)], [np.exp(1j * phi / 2)]])
-        q = self.n_qubits
-        for qubit in qubits:
-            view = self.amps.reshape(1 << qubit, 2, 1 << (q - 1 - qubit))
-            view *= pair
 
     def _rx_passes(self, qubits: range, theta: float) -> None:
         """Rx(theta) on each of ``qubits`` in increasing order, each pass

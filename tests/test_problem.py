@@ -229,12 +229,27 @@ class TestStallExit:
         local_search_optimum(inst, seed=0)
         assert 8 * 64 < len(moves) < 0.3 * 64 * 64
 
-    def test_drifting_gaussian_runs_full_budget(self, monkeypatch):
+    # (N, instance seed, tabu seed) -> moves of a pm1 search, counted with the
+    # absolute 1e-12 threshold: pm1 costs are integers and the scaled
+    # threshold is below 1, so every decision stays
+    PM1_MOVES = {(32, 1000, 0): 350, (64, 1, 0): 887, (128, 1000, 0): 1598,
+                 (128, 1005, 5): 1829}
+
+    @pytest.mark.parametrize("run", sorted(PM1_MOVES), ids="n{0[0]}-seed{0[1]}-tabu{0[2]}".format)
+    def test_pm1_moves_unchanged_by_the_scaled_threshold(self, monkeypatch, run):
+        n, instance_seed, tabu_seed = run
+        moves = count_moves(monkeypatch)
+        local_search_optimum(generate_sk(n, "pm1", seed=instance_seed), seed=tabu_seed)
+        assert len(moves) == self.PM1_MOVES[run]
+
+    def test_drifting_gaussian_takes_the_stall_exit(self, monkeypatch):
+        # the running costs drift by about 1e-12 here; with an absolute 1e-12
+        # threshold that read as improvements and the search made all 64 * 128 moves
         inst = generate_sk(128, "gaussian", seed=3)
         reference = full_budget_search(inst, seed=3)
         moves = count_moves(monkeypatch)
         assert local_search_optimum(inst, seed=3) == reference
-        assert len(moves) == 64 * 128
+        assert 8 * 128 < len(moves) < 64 * 128
 
 
 class TestRatioAndPadding:

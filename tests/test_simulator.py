@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qeopt.simulator
+from qeopt.ansatz import LayerParams, apply_layer
 from qeopt.encoding import make_scheme
 from qeopt.rng import stream
 from qeopt.simulator import DiagonalOperator, Statevector, init_plus
@@ -188,8 +189,8 @@ def mixer_betas(rng):
 
 
 class TestBlockedKernels:
-    """The blocked mixer, the broadcast Rz and the one-pair bias give the
-    looped kernels' bits."""
+    """The blocked mixer, the broadcast Rz and the bias fused into the phase
+    kernel give the looped kernels' bits."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_mixer_with_small_blocks(self, monkeypatch, n):
@@ -239,6 +240,7 @@ class TestBlockedKernels:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_bias_is_q_rz_calls(self, monkeypatch, n):
+        # blocks of 8 amplitudes: from q = 4 on, qubits lie above the block
         monkeypatch.setattr(qeopt.simulator, "BLOCK_QUBITS", 3)
         self.check_bias(np.random.default_rng(300 + n), n)
 
@@ -247,15 +249,46 @@ class TestBlockedKernels:
         assert qeopt.simulator.BLOCK_QUBITS == 14
         self.check_bias(np.random.default_rng(300 + n), n, n_angles=2)
 
+    @pytest.mark.parametrize("block_qubits", [1, 2, 5])
+    def test_bias_is_q_rz_calls_at_other_block_sizes(self, monkeypatch, block_qubits):
+        monkeypatch.setattr(qeopt.simulator, "BLOCK_QUBITS", block_qubits)
+        for n in (1, 2, 6, 9):
+            self.check_bias(np.random.default_rng(400 + n), n, n_angles=2)
+
     @staticmethod
     def check_bias(rng, n, n_angles=None):
+        """The fused kernel gives the bits of the phase followed by the bias
+        as q apply_rz calls."""
         angles = [1e-9, -0.4, 50.0, np.pi, rng.uniform(-7, 7)]
         for gamma_bias in angles[-n_angles:] if n_angles else angles:
+            entries = rng.uniform(-3.0, 3.0, 1 << n)
+            gamma = float(rng.uniform(-1, 1))
             state = random_state(rng, n)
             want = state.amps.copy()
+            want *= np.exp(1j * gamma * entries)
             per_qubit_bias(want, gamma_bias)
-            state.apply_bias(gamma_bias)
-            assert np.array_equal(state.amps.view(np.uint64), want.view(np.uint64))
+            state.apply_diagonal_phase(DiagonalOperator(n, entries), gamma, gamma_bias)
+            assert same_bits(state.amps, want)
+
+    @pytest.mark.parametrize("gamma_bias", [0.0, -0.0])
+    def test_zero_bias_is_the_phase_alone(self, gamma_bias):
+        rng = np.random.default_rng(7)
+        entries = rng.uniform(-3.0, 3.0, 32)
+        state = random_state(rng, 5)
+        want = state.amps.copy()
+        want *= np.exp(1j * 0.4 * entries)
+        state.apply_diagonal_phase(DiagonalOperator(5, entries), 0.4, gamma_bias)
+        assert same_bits(state.amps, want)
+
+    def test_overflowing_bias_is_refused_before_the_phase(self):
+        state = random_state(np.random.default_rng(8), 4)
+        before = state.amps.copy()
+        diag = DiagonalOperator(4, np.ones(16))
+        with pytest.raises(ValueError, match="is not finite at gamma' = 1e"):
+            state.apply_diagonal_phase(diag, 0.3, 1e308)
+        with pytest.raises(ValueError, match="is not finite at gamma' = 1e"):
+            apply_layer(state, diag, LayerParams(0.2, 0.3, 1e308))
+        assert same_bits(state.amps, before)
 
     @pytest.mark.parametrize("n", [16, 18])
     def test_mixer_scratch_stays_below_the_looped_kernels(self, n):
